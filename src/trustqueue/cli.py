@@ -52,8 +52,9 @@ def _print_matrix(label, m, fmt="{:10.4f}"):
 
 
 def cmd_analyze(args) -> int:
+    policy = PolicySpec(POLICIES[args.policy], args.b)
+    kind, b = policy.kind, policy.b
     config = _config_from_args(args)
-    kind = POLICIES[args.policy]
     print(f"lambda = {config.lam:g}, load rho = {config.load:.6g}, "
           f"E[S] = {config.mean_size:.6g}")
     if kind == Policy.FCFS:
@@ -64,15 +65,15 @@ def cmd_analyze(args) -> int:
         print(f"SCF mean response: {overall:.6g}")
         _print_matrix("per true size:", per_size)
         return 0
-    table = response_table(config, kind, args.b)
+    table = response_table(config, kind, b)
     _print_matrix("U[i][k] (rows: true size, cols: declared):", table.U)
     _print_matrix("T[j][k] (rows: internal estimate, cols: declared):", table.T)
     print(f"overall mean response: {table.overall:.6g}")
-    report = ic_check(config, kind, args.b)
+    report = ic_check(config, kind, b)
     if report.verdict:
-        print(f"incentive compatible at b = {args.b:g}")
+        print(f"incentive compatible at b = {b:g}")
     else:
-        print(f"NOT incentive compatible at b = {args.b:g}; violations:")
+        print(f"NOT incentive compatible at b = {b:g}; violations:")
         for j, k, delta in report.violations:
             print(f"  estimate class {j} gains {-delta:.6g} by declaring {k}")
     return 0
@@ -85,15 +86,16 @@ def cmd_ic_region(args) -> int:
         print("ic-region applies to the trust policies (mt, bt)", file=sys.stderr)
         return 1
     region = ic_region(config, kind, grid_step=args.b_step, tol_b=args.tol_b)
+    social = [(baseline, social_benefit_region(config, kind, baseline,
+                                               grid_step=args.b_step, tol_b=args.tol_b))
+              for baseline in (Policy.FCFS, Policy.SCF)]
     if region.is_empty:
         print("incentive compatible region: empty")
     else:
         spans = ", ".join(f"[{iv.lo:.4f}, {iv.hi:.4f}]" for iv in region.intervals)
         print(f"incentive compatible region: {spans}")
     print(f"  (endpoints resolved to {region.tol_b:g}; scan step {region.grid_step:g})")
-    for baseline in (Policy.FCFS, Policy.SCF):
-        sb = social_benefit_region(config, kind, baseline,
-                                   grid_step=args.b_step, tol_b=args.tol_b)
+    for baseline, sb in social:
         spans = ("empty" if sb.is_empty else
                  ", ".join(f"[{iv.lo:.4f}, {iv.hi:.4f}]" for iv in sb.intervals))
         print(f"socially beneficial vs {baseline.value}: {spans}")

@@ -86,6 +86,8 @@ class CurveRow:
 
 
 def _grid(step: float, upper: float = 1.0) -> np.ndarray:
+    if not 0.0 < step <= 1.0:
+        raise ValueError(f"grid step must be in (0, 1], got {step:g}")
     count = int(round(upper / step))
     return np.round(np.linspace(0.0, upper, count + 1), 12)
 

@@ -4,8 +4,11 @@ A policy is incentive compatible at b when no internal-estimate class j
 gains by declaring some other class k: delta[j][k] = E[T_jk] - E[T_jj] >= 0
 for every pair (weakly, with a small tolerance).  For MeasuredTrust each
 pairwise difference is monotone in b (single crossing), so its feasible set
-is one-sided and the region is a single interval found by bisection; for
-BlindTrust the region is scanned on a dense grid and endpoints refined.
+is one-sided and the region is a single interval: every pair is evaluated
+at b = 0 and b = 1 in one response cube, and the pairs whose sign changes
+are bisected together, one cube per step over all their midpoints.  For
+BlindTrust the region is scanned on a dense grid and its endpoints are
+refined by bisection.
 """
 
 from __future__ import annotations
@@ -109,20 +112,32 @@ def ic_check(config: SystemConfig, kind: Policy, b: float, tol: float = DEFAULT_
                     violations=tuple(sorted(violations, key=lambda v: v[2])))
 
 
-def _bisect(f, lo: float, hi: float, f_lo: float, tol_b: float) -> float:
-    """Root of f in [lo, hi] given a sign change; returns the midpoint at tol_b."""
+def _bisect(f, lo, hi, f_lo, tol_b: float) -> np.ndarray:
+    """Roots of f in the brackets [lo, hi] given a sign change, all bisected together.
+
+    lo, hi and f_lo (f at lo) hold one entry per root.  f(bs, todo) returns
+    f at bs for the roots indexed by todo.  Each root takes the scalar steps
+    on its own: it stops once hi - lo <= tol_b and returns the midpoint, and
+    an exact zero returns that midpoint at once.
+    """
+    lo, hi = np.array(lo, dtype=float, ndmin=1), np.array(hi, dtype=float, ndmin=1)
+    neg_lo = np.array(f_lo, ndmin=1) < 0
     for _ in range(200):
-        if hi - lo <= tol_b:
+        todo = np.flatnonzero(hi - lo > tol_b)
+        if not todo.size:
             break
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_mid < 0) == (f_lo < 0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
+        mid = 0.5 * (lo[todo] + hi[todo])
+        f_mid = np.asarray(f(mid, todo), dtype=float)
+        zero = f_mid == 0.0
+        right = ~zero & ((f_mid < 0) == neg_lo[todo])    # the root lies right of mid
+        lo[todo[right | zero]] = mid[right | zero]      # an exact zero collapses
+        hi[todo[~right]] = mid[~right]                  # its bracket onto mid
     return 0.5 * (lo + hi)
+
+
+def _bisect_scalar(f, lo: float, hi: float, f_lo: float, tol_b: float) -> float:
+    """_bisect for one root of a scalar function f(b)."""
+    return float(_bisect(lambda bs, _: [f(bs[0])], lo, hi, f_lo, tol_b)[0])
 
 
 def _pair_delta_fn(config: SystemConfig, kind: Policy, j: int, k: int):
@@ -160,16 +175,15 @@ def pair_threshold(config: SystemConfig, kind: Policy, j: int, k: int,
             return [0.0]
         if (d0 < 0) == (d1 < 0):
             return []
-        return [_bisect(delta, 0.0, 1.0, d0, tol_b)]
-    bs = np.arange(0.0, 1.0 + grid_step / 2, grid_step)
-    bs[-1] = 1.0
+        return [_bisect_scalar(delta, 0.0, 1.0, d0, tol_b)]
+    bs = _scan_grid(grid_step)
     vals = np.array([delta(float(b)) for b in bs])
     roots = []
     for t in range(len(bs) - 1):
         if vals[t] == 0.0:
             roots.append(float(bs[t]))
         elif (vals[t] < 0) != (vals[t + 1] < 0):
-            roots.append(_bisect(delta, float(bs[t]), float(bs[t + 1]), vals[t], tol_b))
+            roots.append(_bisect_scalar(delta, float(bs[t]), float(bs[t + 1]), vals[t], tol_b))
     if vals[-1] == 0.0:
         roots.append(1.0)
     return roots
@@ -182,29 +196,54 @@ def _pairs(config: SystemConfig):
 
 
 def _mt_region(config: SystemConfig, tol: float, tol_b: float) -> tuple[float, float] | None:
-    lo, hi = 0.0, 1.0
-    for j, k in _pairs(config):
-        delta = _pair_delta_fn(config, Policy.MEASURED_TRUST, j, k)
-        f = lambda b: delta(b) + tol
-        f0, f1 = f(0.0), f(1.0)
-        if f0 >= 0 and f1 >= 0:
-            continue
-        if f0 < 0 and f1 < 0:
-            return None
-        root = _bisect(f, 0.0, 1.0, f0, tol_b)
-        if f0 < 0:          # feasible to the right: [root, 1]
-            lo = max(lo, root)
-        else:               # feasible to the left: [0, root]
-            hi = min(hi, root)
-        if lo > hi:
-            return None
+    """Intersection of the one-sided feasible sets of all pairs, or None.
+
+    Every pair is evaluated at b = 0 and b = 1 in one response cube; the
+    pairs whose sign changes are then bisected together, one cube per step
+    over all their midpoints.
+    """
+    pairs = _pairs(config)
+    if not pairs:
+        return 0.0, 1.0
+    js, ks = np.array(pairs).T
+    M = config.matrix.entries
+    R = config.matrix.estimate_marginal
+    cols = (M[:, js] / R[js]).T         # cols[p]: weights of pair p over true sizes
+
+    def f(bs, p):
+        """delta[j][k] + tol of pairs p, each at its own b."""
+        U, _, _ = response_cube(config, Policy.MEASURED_TRUST, bs)
+        Ub = U.transpose(2, 1, 0)       # [b, declared, true size]
+        t = np.arange(len(bs))
+        return np.vecdot(cols[p], Ub[t, ks[p]] - Ub[t, js[p]]) + tol
+
+    P = len(pairs)
+    f0, f1 = f(np.repeat([0.0, 1.0], P), np.tile(np.arange(P), 2)).reshape(2, P)
+    if np.any((f0 < 0) & (f1 < 0)):
+        return None
+    cross = np.flatnonzero(~((f0 >= 0) & (f1 >= 0)))
+    roots = _bisect(lambda bs, todo: f(bs, cross[todo]),
+                    np.zeros(len(cross)), np.ones(len(cross)), f0[cross], tol_b)
+    right = f0[cross] < 0   # feasible to the right, [root, 1]; else to the left, [0, root]
+    lo = float(np.max(roots[right], initial=0.0))
+    hi = float(np.min(roots[~right], initial=1.0))
+    if lo > hi:
+        return None
     return lo, hi
+
+
+def _scan_grid(grid_step: float) -> np.ndarray:
+    """The b-grid 0, grid_step, 2 grid_step, ..., 1 that region scans walk."""
+    if not 0.0 < grid_step <= 1.0:
+        raise ValueError(f"b step must be in (0, 1], got {grid_step:g}")
+    bs = np.arange(0.0, 1.0 + grid_step / 2, grid_step)
+    bs[-1] = 1.0
+    return bs
 
 
 def _scan_region(indicator_fn, boundary_fn, grid_step: float, tol_b: float) -> list[BInterval]:
     """Maximal true-runs of indicator_fn on a grid, endpoints refined by bisection."""
-    bs = np.arange(0.0, 1.0 + grid_step / 2, grid_step)
-    bs[-1] = 1.0
+    bs = _scan_grid(grid_step)
     ok = indicator_fn(bs)
     intervals = []
     t = 0
@@ -220,11 +259,11 @@ def _scan_region(indicator_fn, boundary_fn, grid_step: float, tol_b: float) -> l
         if t0 > 0:
             g_lo = boundary_fn(float(bs[t0 - 1]))
             if g_lo < 0:
-                lo = _bisect(boundary_fn, float(bs[t0 - 1]), lo, g_lo, tol_b)
+                lo = _bisect_scalar(boundary_fn, float(bs[t0 - 1]), lo, g_lo, tol_b)
         if t < len(bs) - 1:
             g_hi = boundary_fn(float(bs[t + 1]))
             if g_hi < 0:
-                hi = _bisect(boundary_fn, hi, float(bs[t + 1]), boundary_fn(hi), tol_b)
+                hi = _bisect_scalar(boundary_fn, hi, float(bs[t + 1]), boundary_fn(hi), tol_b)
         intervals.append(BInterval(lo, hi))
         t += 1
     return intervals
@@ -240,8 +279,8 @@ def ic_region(config: SystemConfig, kind: Policy,
         result = BIntervalSet(intervals=intervals, grid_step=grid_step, tol_b=tol_b)
         if not result.is_empty:
             mid = 0.5 * (result.intervals[0].lo + result.intervals[0].hi)
-            assert ic_check(config, kind, mid, tol).verdict, \
-                "single-interval construction produced an infeasible interior"
+            if not ic_check(config, kind, mid, tol).verdict:
+                raise RuntimeError("single-interval construction produced an infeasible interior")
         return result
 
     def boundary(b: float) -> float:

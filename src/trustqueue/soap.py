@@ -13,8 +13,13 @@ honest or overestimating job has w = k (its declared class), and an
 unpunished underestimator climbs to w = i under MeasuredTrust or stays at
 w = k under BlindTrust.
 
-Moment tables are linear in the punishment probability b, so everything
-here is evaluated over whole b-grids at once where useful.
+The service each (true size i, estimate j) cell receives at ranks <= ell
+comes from one (ell, i, j) case table built by broadcasting.  Moment tables
+are linear in the punishment probability b, m[ell](b) = a[ell] + b d[ell],
+so response_cube evaluates a whole vector of b values in one pass with no
+Python loops.  Each element is computed with the same operations in the
+same order as a scalar evaluation at its b, so a cube over many b values
+agrees bit for bit with single-b cubes.
 """
 
 from __future__ import annotations
@@ -53,30 +58,31 @@ class MomentTable:
         return len(self.m1) - 2
 
 
-def _case_values(config: SystemConfig, kind: Policy, ell: int, punished: bool) -> np.ndarray:
-    """Deterministic service at ranks <= ell for each (true size i, estimate j).
+def _case_table(config: SystemConfig, kind: Policy) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic service at ranks <= ell, spared and punished, as (v0, v1).
 
-    ell is a 1-based rank in 1..n.  An honest job sits in class j until age
-    z_j; if its size exceeds z_j it is either punished to rank n+1 or, when
-    spared, climbs class by class (MeasuredTrust) or keeps class j
-    (BlindTrust).
+    Both arrays have shape (n, n, n), indexed [ell - 1, true size i,
+    estimate j] for ranks ell = 1..n.  An honest job sits in class j until
+    age z_j and receives nothing at ranks below j + 1.  If its size exceeds
+    z_j it is either punished to rank n+1 (service z_j by then) or, when
+    spared, climbs class by class (MeasuredTrust, z_min(i, ell-1)) or keeps
+    class j (BlindTrust, z_i).  A job that fits (i <= j) receives z_i.
     """
     z = config.sizes
     n = config.n
-    v = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if j + 1 > ell:
-                v[i, j] = 0.0
-            elif i <= j:
-                v[i, j] = z[i]
-            elif punished:
-                v[i, j] = z[j]
-            elif kind == Policy.BLIND_TRUST:
-                v[i, j] = z[i]
-            else:
-                v[i, j] = z[i] if i + 1 <= ell else z[ell - 1]
-    return v
+    ell = np.arange(1, n + 1)[:, None, None]
+    i = np.arange(n)[None, :, None]
+    j = np.arange(n)[None, None, :]
+    reached = j + 1 <= ell
+    spared = z[np.minimum(i, ell - 1)] if kind == Policy.MEASURED_TRUST else z[i]
+    v0 = np.where(reached, spared, 0.0)
+    v1 = np.where(reached, z[np.minimum(i, j)], 0.0)
+    return v0, v1
+
+
+def _rank_sums(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum over (i, j) of M * v[ell], for every rank ell of an (n, n, n) table."""
+    return (M * v).reshape(len(v), -1).sum(axis=1)
 
 
 def relevant_size_moments(config: SystemConfig, kind: Policy, b: float) -> MomentTable:
@@ -85,15 +91,11 @@ def relevant_size_moments(config: SystemConfig, kind: Policy, b: float) -> Momen
     n = config.n
     M = config.matrix.entries
     z = config.sizes
+    v0, v1 = _case_table(config, kind)
     m1 = np.zeros(n + 2)
     m2 = np.zeros(n + 2)
-    for ell in range(1, n + 1):
-        v1 = _case_values(config, kind, ell, punished=True)
-        v0 = _case_values(config, kind, ell, punished=False)
-        mix = b * v1 + (1.0 - b) * v0
-        mix2 = b * v1**2 + (1.0 - b) * v0**2
-        m1[ell] = float((M * mix).sum())
-        m2[ell] = float((M * mix2).sum())
+    m1[1:n + 1] = _rank_sums(M, b * v1 + (1.0 - b) * v0)
+    m2[1:n + 1] = _rank_sums(M, b * v1**2 + (1.0 - b) * v0**2)
     zi = np.broadcast_to(z[:, None], (n, n))
     m1[n + 1] = float((M * zi).sum())
     m2[n + 1] = float((M * zi**2).sum())
@@ -105,15 +107,13 @@ def _moment_coeffs(config: SystemConfig, kind: Policy):
     n = config.n
     M = config.matrix.entries
     z = config.sizes
+    v0, v1 = _case_table(config, kind)
     a1 = np.zeros(n + 2); d1 = np.zeros(n + 2)
     a2 = np.zeros(n + 2); d2 = np.zeros(n + 2)
-    for ell in range(1, n + 1):
-        v1 = _case_values(config, kind, ell, punished=True)
-        v0 = _case_values(config, kind, ell, punished=False)
-        a1[ell] = float((M * v0).sum())
-        d1[ell] = float((M * (v1 - v0)).sum())
-        a2[ell] = float((M * v0**2).sum())
-        d2[ell] = float((M * (v1**2 - v0**2)).sum())
+    a1[1:n + 1] = _rank_sums(M, v0)
+    d1[1:n + 1] = _rank_sums(M, v1 - v0)
+    a2[1:n + 1] = _rank_sums(M, v0**2)
+    d2[1:n + 1] = _rank_sums(M, v1**2 - v0**2)
     zi = np.broadcast_to(z[:, None], (n, n))
     a1[n + 1] = float((M * zi).sum())
     a2[n + 1] = float((M * zi**2).sum())
@@ -135,28 +135,19 @@ def response_cube(config: SystemConfig, kind: Policy, bs: np.ndarray):
     m2 = a2[:, None] + np.outer(d2, bs)
     rho = lam * (a1[:, None] + np.outer(d1, bs))
     rho_total = rho[n + 1]
-    # queueing delay shared by every job whose final rank is ell
-    queue = [None] + [
-        lam * m2[ell] / (2.0 * (1.0 - rho[ell - 1]) * (1.0 - rho[ell]))
-        for ell in range(1, n + 1)
-    ]
+    # queue[k]: queueing delay shared by every job whose final rank is k + 1
+    queue = lam * m2[1:n + 1] / (2.0 * (1.0 - rho[:n]) * (1.0 - rho[1:n + 1]))
     queue_punished = lam * m2[n + 1] / (2.0 * (1.0 - rho[n]) * (1.0 - rho_total))
-    B = len(bs)
-    U = np.empty((n, n, B))
-    Upun = np.full((n, n, B), np.nan)
-    Uunp = np.full((n, n, B), np.nan)
-    for i in range(n):
-        punished_i = queue_punished + z[i] / (1.0 - rho[n])
-        climb_i = queue[i + 1] + z[i] / (1.0 - rho[i])
-        for k in range(n):
-            if i <= k:
-                U[i, k] = queue[k + 1] + z[i] / (1.0 - rho[k])
-            else:
-                spared = climb_i if kind == Policy.MEASURED_TRUST \
-                    else queue[k + 1] + z[i] / (1.0 - rho[k])
-                U[i, k] = bs * punished_i + (1.0 - bs) * spared
-                Upun[i, k] = punished_i
-                Uunp[i, k] = spared
+    # honest[i, k]: a size-z_i job that finishes at rank k + 1
+    honest = queue[None] + z[:, None, None] / (1.0 - rho[None, :n])
+    punished = (queue_punished + z[:, None] / (1.0 - rho[n]))[:, None, :]
+    idx = np.arange(n)
+    # a spared MeasuredTrust overrun climbs to its own rank i + 1
+    spared = honest[idx, idx][:, None, :] if kind == Policy.MEASURED_TRUST else honest
+    overrun = (idx[:, None] > idx[None, :])[:, :, None]
+    U = np.where(overrun, bs * punished + (1.0 - bs) * spared, honest)
+    Upun = np.where(overrun, punished, np.nan)
+    Uunp = np.where(overrun, spared, np.nan)
     return U, Upun, Uunp
 
 

@@ -39,6 +39,15 @@ def test_analyze_detects_violation(capsys):
     assert "declaring" in out
 
 
+@pytest.mark.parametrize("b", ["nan", "2", "-0.1"])
+def test_analyze_rejects_invalid_b(b, capsys):
+    code, out, err = run(["analyze", "--preset", "three-class", "--policy", "mt",
+                          "--b", b], capsys)
+    assert code == 1
+    assert "punishment probability" in err
+    assert "incentive compatible" not in out
+
+
 def test_analyze_config_file(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(THREE_CLASS))
@@ -84,6 +93,29 @@ def test_ic_region_output(capsys):
     assert code == 0
     assert "[0.9476, 1.0000]" in out
     assert "socially beneficial vs fcfs: empty" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--x-step", "0"],
+    ["sweep", "--b-step", "-0.01"],
+    ["curve", "--b-step", "2"],
+    ["curve", "--x-step", "nan"],
+])
+def test_grid_step_outside_unit_interval_exits_1(argv, tmp_path, capsys):
+    out_csv = tmp_path / "out.csv"
+    code, _, err = run(argv + ["--out", str(out_csv)], capsys)
+    assert code == 1
+    assert "step must be in (0, 1]" in err
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("policy", ["mt", "bt"])
+def test_ic_region_rejects_zero_b_step(policy, capsys):
+    code, out, err = run(["ic-region", "--preset", "three-class", "--policy", policy,
+                          "--b-step", "0"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "step must be in (0, 1]" in err
 
 
 def test_ic_region_rejects_blind_policy(capsys):

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -129,3 +131,13 @@ def test_curve_csv_schema(tmp_path):
     assert lines[1] == CURVE_HEADER
     infeasible = [ln for ln in lines[2:] if ",,," in ln or ln.split(",")[1] == ""]
     assert infeasible, "large x rows should have empty best-b columns"
+
+
+def test_curve_csv_matches_committed_bytes(tmp_path):
+    # the committed file pins the curve CSV: any change to the region or
+    # best-b arithmetic that shows at 6 significant digits breaks it
+    expected = Path(__file__).parent / "data" / "curve_four_class_coarse.csv"
+    probs, grid, lam = four_class_family()
+    path = tmp_path / "curve.csv"
+    write_curve_csv(optimal_b_curve(probs, grid, lam, x_step=0.05, b_step=0.001), path)
+    assert path.read_bytes() == expected.read_bytes()

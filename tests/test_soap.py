@@ -7,8 +7,8 @@ import reference
 from conftest import random_config
 from trustqueue.model import Policy, SizeGrid, diagonal_matrix, validate_config
 from trustqueue.soap import (fcfs_mean_response, mean_response_u, overall_curve,
-                             rank_function, relevant_size_moments, response_table,
-                             scf_mean_response)
+                             rank_function, relevant_size_moments, response_cube,
+                             response_table, scf_mean_response)
 
 MT = Policy.MEASURED_TRUST
 BT = Policy.BLIND_TRUST
@@ -52,8 +52,12 @@ def test_moments_match_reference(seed, b, kind):
 @given(st.integers(0, 2**31), st.floats(0.0, 1.0), st.sampled_from([MT, BT]))
 @settings(max_examples=40, deadline=None)
 def test_responses_match_reference(seed, b, kind):
-    config = random_config(seed)
+    config = random_config(seed, n_range=(2, 8))
     table = response_table(config, kind, b)
+    # the conditional planes are NaN exactly where no overrun is possible
+    no_overrun = np.arange(config.n)[:, None] <= np.arange(config.n)[None, :]
+    np.testing.assert_array_equal(np.isnan(table.u_punished), no_overrun)
+    np.testing.assert_array_equal(np.isnan(table.u_unpunished), no_overrun)
     for i in range(config.n):
         for k in range(config.n):
             u, pun, spared = reference.u_value(config, kind, b, i, k)
@@ -61,6 +65,18 @@ def test_responses_match_reference(seed, b, kind):
             if i > k:
                 assert table.u_punished[i, k] == pytest.approx(pun, rel=1e-12)
                 assert table.u_unpunished[i, k] == pytest.approx(spared, rel=1e-12)
+
+
+@given(st.integers(0, 2**31), st.sampled_from([MT, BT]))
+@settings(max_examples=30, deadline=None)
+def test_cube_over_b_vector_equals_single_b_cubes(seed, kind):
+    # batched callers (region bisection) rely on each b column being bit-identical
+    config = random_config(seed, n_range=(2, 8))
+    bs = np.concatenate([[0.0, 1.0], np.random.default_rng(seed).uniform(0.0, 1.0, 6)])
+    cube = response_cube(config, kind, bs)
+    for t, b in enumerate(bs):
+        for whole, single in zip(cube, response_cube(config, kind, [b])):
+            assert np.array_equal(whole[:, :, t], single[:, :, 0], equal_nan=True)
 
 
 @pytest.mark.parametrize("kind", [MT, BT])
