@@ -3,7 +3,7 @@
 
 Prints response tables, incentive regions and social-benefit regions for
 both trust policies, then cross-checks a few operating points against the
-discrete-event oracle.
+sample-path simulation oracle.
 """
 
 import argparse

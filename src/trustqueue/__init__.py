@@ -2,7 +2,7 @@
 
 Closed-form mean response times for the MeasuredTrust and BlindTrust
 punishment policies (plus FCFS and Smallest-Class-First baselines),
-punishment-probability region finding, a discrete-event simulation oracle,
+punishment-probability region finding, a sample-path simulation oracle,
 and sweep/plot experiment harnesses.
 """
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Policy, SystemConfig
+from .model import Policy, SystemConfig, check_punishment
 from .soap import fcfs_mean_response, overall_curve, response_cube, scf_mean_response
 
 DEFAULT_TOL = 1e-9      # slack on delta >= 0, in time units
@@ -99,6 +99,7 @@ def ic_indicator(config: SystemConfig, kind: Policy, bs, tol: float = DEFAULT_TO
 
 def ic_check(config: SystemConfig, kind: Policy, b: float, tol: float = DEFAULT_TOL) -> ICReport:
     """Exact incentive check at one punishment probability."""
+    check_punishment(b)
     d = delta_grid(config, kind, np.array([b]))[:, :, 0]
     violations = []
     n = config.n
@@ -232,10 +233,14 @@ def _mt_region(config: SystemConfig, tol: float, tol_b: float) -> tuple[float, f
     return lo, hi
 
 
-def _scan_grid(grid_step: float) -> np.ndarray:
-    """The b-grid 0, grid_step, 2 grid_step, ..., 1 that region scans walk."""
+def _check_step(grid_step: float) -> None:
     if not 0.0 < grid_step <= 1.0:
         raise ValueError(f"b step must be in (0, 1], got {grid_step:g}")
+
+
+def _scan_grid(grid_step: float) -> np.ndarray:
+    """The b-grid 0, grid_step, 2 grid_step, ..., 1 that region scans walk."""
+    _check_step(grid_step)
     bs = np.arange(0.0, 1.0 + grid_step / 2, grid_step)
     bs[-1] = 1.0
     return bs
@@ -273,6 +278,7 @@ def ic_region(config: SystemConfig, kind: Policy,
               grid_step: float = DEFAULT_GRID, tol_b: float = DEFAULT_TOL_B,
               tol: float = DEFAULT_TOL) -> BIntervalSet:
     """All punishment probabilities where the policy is incentive compatible."""
+    _check_step(grid_step)
     if kind == Policy.MEASURED_TRUST:
         span = _mt_region(config, tol, tol_b)
         intervals = () if span is None else (BInterval(*span),)

@@ -156,6 +156,12 @@ class SystemConfig:
         return self.lam * self.mean_size
 
 
+def check_punishment(b: float) -> None:
+    """Raise ConfigError unless b is a punishment probability in [0, 1] (NaN is not)."""
+    if not (0.0 <= b <= 1.0):
+        raise ConfigError(f"punishment probability must be in [0, 1], got {b}")
+
+
 @dataclass(frozen=True)
 class PolicySpec:
     """Policy kind plus punishment probability b (ignored by blind policies)."""
@@ -164,8 +170,7 @@ class PolicySpec:
     b: float = 0.0
 
     def __post_init__(self):
-        if not (0.0 <= self.b <= 1.0):
-            raise ConfigError(f"punishment probability must be in [0, 1], got {self.b}")
+        check_punishment(self.b)
 
 
 def validate_config(lam: float, sizes, matrix) -> SystemConfig:

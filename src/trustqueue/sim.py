@@ -1,10 +1,16 @@
-"""Discrete-event M/G/1 oracle for the trust policies and blind baselines.
+"""Sample-path M/G/1 oracle for the trust policies and blind baselines.
 
 A single server preemptively runs the lowest-rank job, breaking ties by
-arrival time.  Only the in-service job accrues age, so rank changes can
-only happen to it; waiting jobs keep a frozen rank inside one heap keyed by
-(rank, arrival time).  Event order at identical timestamps: completions,
-then arrivals, then rank crossings.
+arrival time, and a job's rank only rises with its own age.  So a job J
+with final rank w completes exactly when three amounts of work are done:
+its own size, the work at ranks <= w that other jobs hold when J arrives,
+and the work at ranks < w brought by later arrivals before J completes.
+For each final rank level that occurs, the first amount is a Lindley
+recursion over arrivals (a cumulative sum reflected at zero) and the
+completion time is a first passage found with a running maximum and one
+binary search.  A replication is a few numpy passes per level; the result
+equals the discrete-event simulation on the same draws job by job, up to
+rounding (tests/event_sim.py keeps that event loop as the reference).
 
 Honest jobs declare their internal estimate.  Sparse probe jobs declare a
 uniformly random class instead, estimating the deviation response times
@@ -17,7 +23,6 @@ import csv
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from heapq import heappop, heappush
 
 import numpy as np
 from scipy import stats
@@ -98,6 +103,36 @@ def rank_boundaries(policy: PolicySpec, sizes, k: int, punished: bool) -> list[t
     return [(float(z[m]), m + 2) for m in range(k, n - 1)]
 
 
+def rank_path_table(policy: PolicySpec, sizes) -> tuple[np.ndarray, np.ndarray]:
+    """Service at ranks <= ell and final rank of every (true size, declared, coin).
+
+    Returns (xle, final): xle[i, k, coin, ell] is the service a size-z_i
+    job declaring class k receives at ranks <= ell, for ell = 0..n+1 (column
+    0 is the empty rank class), and final[i, k, coin] is its rank at
+    completion.  Both come from initial_rank and rank_boundaries.  A
+    crossing at an age equal to the size does not fire: completion wins
+    the tie.
+    """
+    z = np.asarray(sizes, dtype=float)
+    n = len(z)
+    xle = np.zeros((n, n, 2, n + 2))
+    final = np.zeros((n, n, 2), dtype=np.intp)
+    for k in range(n):
+        for coin in (0, 1):
+            bl = rank_boundaries(policy, z, k, bool(coin))
+            starts = [0.0] + [age for age, _ in bl]
+            ends = starts[1:] + [np.inf]
+            ranks = [initial_rank(policy, k)] + [rank for _, rank in bl]
+            for i in range(n):
+                # ranks only rise with age, so the segments at ranks <= ell
+                # are a prefix and xle is the end of the last one
+                for start, end, rank in zip(starts, ends, ranks):
+                    if start < z[i]:
+                        xle[i, k, coin, rank:] = min(end, z[i])
+                        final[i, k, coin] = rank
+    return xle, final
+
+
 def _run_replication(args):
     (z, M, lam, kind_value, b, job_count, warm_frac, probe_p, seed, capture) = args
     policy = PolicySpec(Policy(kind_value), b)
@@ -112,149 +147,71 @@ def _run_replication(args):
     coin_np = rng.random(job_count) < b
     probe_np = rng.random(job_count) < probe_p
     k_np = np.where(probe_np, rng.integers(0, n, job_count), j_np)
+    del cells
 
-    arrivals = arrivals_np.tolist()
-    sizes = z[i_np].tolist()
-    i_list = i_np.tolist()
-    j_list = j_np.tolist()
-    k_list = k_np.tolist()
-    coin_list = coin_np.tolist()
-    probe_list = probe_np.tolist()
+    xle, final = rank_path_table(policy, z)
+    path = (i_np * n + k_np) * 2 + coin_np      # each job's row of the flattened table
+    xle = np.ascontiguousarray(xle.reshape(n * n * 2, n + 2).T)
+    final = final.ravel().take(path)
+    sizes = z.take(i_np)
+    gaps = np.diff(arrivals_np)
+    next_arrival = np.append(arrivals_np[1:], np.inf)
 
-    bounds = {
-        (kk, pun): tuple(zip(*bl)) if (bl := rank_boundaries(policy, z, kk, pun)) else ((), ())
-        for kk in range(n) for pun in (False, True)
-    }
-    init_ranks = [initial_rank(policy, kk) for kk in range(n)]
+    # A job J with final rank w completes once its own size, the work at
+    # ranks <= w that others hold when J arrives, and the work at ranks < w
+    # of later arrivals are done; the server is busy throughout.
+    resp = np.empty(job_count)
+    for w in np.flatnonzero(np.bincount(final)):
+        jobs = np.flatnonzero(final == w)
+        # <= w backlog found by each arrival: Lindley's recursion as a
+        # cumulative sum reflected at zero
+        s = np.cumsum(xle[w].take(path[:-1]) - gaps)
+        s -= np.minimum.accumulate(np.minimum(s, 0.0))
+        work = sizes[jobs] + np.concatenate(([0.0], s))[jobs]
+        # completion is the first passage of t - (< w work arrived by t)
+        # over arrival + work; G is the running max of that gap just before
+        # each next arrival
+        X = np.cumsum(xle[w - 1].take(path))
+        G = np.maximum.accumulate(next_arrival - X)
+        last = np.searchsorted(G, arrivals_np[jobs] + work - X[jobs], side="left")
+        # the backlog keeps every earlier gap below a job's target, so the
+        # search never lands before the job itself; the clamp is a guard
+        resp[jobs] = work + (X[np.maximum(last, jobs)] - X[jobs])
+    del xle, path, final, gaps, next_arrival
 
     warm_n = int(job_count * warm_frac)
-    age = [0.0] * job_count     # frozen state while waiting
-    bpos = [0] * job_count
+    rec = slice(warm_n, None)
+    completion = arrivals_np + resp
+    t_start = arrivals_np[warm_n]
+    t_end = float(completion.max())
+    # time-integral of the number in system over [t_start, t_end]
+    area = float(np.maximum(completion - np.maximum(arrivals_np, t_start), 0.0).sum())
 
-    heap = []
-    t = 0.0
-    next_id = 0
-    done = 0
-    sid = -1                    # serving job id, -1 if idle
-    s_rank = 0
-    s_arr = s_age = s_size = 0.0
-    s_bages: tuple = ()
-    s_branks: tuple = ()
-    s_bpos = 0
+    r_resp = resp[rec]
+    honest = ~probe_np[rec]
+    probe = ~honest
+    class_cnt = np.bincount(j_np[rec][honest], minlength=n)
+    class_sum = np.bincount(j_np[rec][honest], weights=r_resp[honest], minlength=n)
+    cell_idx = (i_np[rec] * n + k_np[rec])[probe]
+    cell_cnt = np.bincount(cell_idx, minlength=n * n).reshape(n, n)
+    cell_sum = np.bincount(cell_idx, weights=r_resp[probe], minlength=n * n).reshape(n, n)
 
-    in_system = 0
-    area = 0.0
-    t_start = None              # recording window opens at arrival of job warm_n
-    sum_resp = 0.0
-    n_resp = 0
-    class_sum = [0.0] * n
-    class_cnt = [0] * n
-    cell_sum = [[0.0] * n for _ in range(n)]
-    cell_cnt = [[0] * n for _ in range(n)]
-    trace = [] if capture else None
-
-    INF = float("inf")
-    while done < job_count:
-        t_arr = arrivals[next_id] if next_id < job_count else INF
-        if sid >= 0:
-            t_done = t + (s_size - s_age)
-            t_cross = t + (s_bages[s_bpos] - s_age) if s_bpos < len(s_bages) else INF
-        else:
-            t_done = t_cross = INF
-
-        if t_done <= t_arr and t_done <= t_cross:
-            new_t = t_done
-            event = 0
-        elif t_arr <= t_cross:
-            new_t = t_arr
-            event = 1
-        else:
-            new_t = t_cross
-            event = 2
-        dt = new_t - t
-        if t_start is not None:
-            area += in_system * dt
-        if sid >= 0:
-            s_age += dt
-        t = new_t
-
-        if event == 0:
-            jid = sid
-            in_system -= 1
-            done += 1
-            if jid >= warm_n:
-                resp = t - arrivals[jid]
-                if probe_list[jid]:
-                    cell_sum[i_list[jid]][k_list[jid]] += resp
-                    cell_cnt[i_list[jid]][k_list[jid]] += 1
-                else:
-                    sum_resp += resp
-                    n_resp += 1
-                    class_sum[j_list[jid]] += resp
-                    class_cnt[j_list[jid]] += 1
-                if trace is not None:
-                    trace.append((arrivals[jid], i_list[jid], j_list[jid], k_list[jid],
-                                  coin_list[jid], probe_list[jid], resp))
-            if heap:
-                s_rank, s_arr, sid = heappop(heap)
-                s_age = age[sid]
-                s_size = sizes[sid]
-                s_bpos = bpos[sid]
-                s_bages, s_branks = bounds[(k_list[sid], coin_list[sid])]
-            else:
-                sid = -1
-        elif event == 1:
-            jid = next_id
-            next_id += 1
-            in_system += 1
-            if jid == warm_n and t_start is None:
-                t_start = t
-            rank0 = init_ranks[k_list[jid]]
-            if sid < 0:
-                assert not heap, "server idle with jobs waiting"
-                sid = jid
-                s_rank = rank0
-                s_arr = t
-                s_age = 0.0
-                s_size = sizes[jid]
-                s_bpos = 0
-                s_bages, s_branks = bounds[(k_list[jid], coin_list[jid])]
-            elif rank0 < s_rank:
-                age[sid] = s_age
-                bpos[sid] = s_bpos
-                heappush(heap, (s_rank, s_arr, sid))
-                sid = jid
-                s_rank = rank0
-                s_arr = t
-                s_age = 0.0
-                s_size = sizes[jid]
-                s_bpos = 0
-                s_bages, s_branks = bounds[(k_list[jid], coin_list[jid])]
-            else:
-                heappush(heap, (rank0, t, jid))
-        else:
-            s_rank = s_branks[s_bpos]
-            s_bpos += 1
-            if heap and (heap[0][0], heap[0][1]) < (s_rank, s_arr):
-                age[sid] = s_age
-                bpos[sid] = s_bpos
-                heappush(heap, (s_rank, s_arr, sid))
-                s_rank, s_arr, sid = heappop(heap)
-                s_age = age[sid]
-                s_size = sizes[sid]
-                s_bpos = bpos[sid]
-                s_bages, s_branks = bounds[(k_list[sid], coin_list[sid])]
-
-    window = t - t_start if t_start is not None else 0.0
+    trace = None
+    if capture:
+        order = warm_n + np.argsort(completion[rec], kind="stable")
+        trace = list(zip(arrivals_np[order].tolist(), i_np[order].tolist(),
+                         j_np[order].tolist(), k_np[order].tolist(),
+                         coin_np[order].tolist(), probe_np[order].tolist(),
+                         resp[order].tolist()))
     return {
-        "sum_resp": sum_resp,
-        "n_resp": n_resp,
-        "class_sum": class_sum,
-        "class_cnt": class_cnt,
-        "cell_sum": cell_sum,
-        "cell_cnt": cell_cnt,
+        "sum_resp": float(class_sum.sum()),
+        "n_resp": int(class_cnt.sum()),
+        "class_sum": class_sum.tolist(),
+        "class_cnt": class_cnt.tolist(),
+        "cell_sum": cell_sum.tolist(),
+        "cell_cnt": cell_cnt.tolist(),
         "area": area,
-        "window": window,
+        "window": t_end - float(t_start),
         "arrived_in_window": job_count - warm_n,
         "trace": trace,
     }
@@ -293,7 +250,11 @@ def simulate(config: SystemConfig, policy: PolicySpec, sim: SimConfig,
     else:
         reps = [_run_replication(a) for a in args]
 
-    overall = _combine(r["sum_resp"] / r["n_resp"] for r in reps)
+    if any(r["n_resp"] == 0 for r in reps):
+        raise ValueError("a replication recorded no honest job after warm-up; "
+                         "use more jobs or a lower probe probability")
+    est = _combine(r["sum_resp"] / r["n_resp"] for r in reps)
+    overall = SimEstimate(est.mean, est.half_width95, sum(r["n_resp"] for r in reps))
     per_class = {}
     for j in range(n):
         means = [r["class_sum"][j] / r["class_cnt"][j] for r in reps if r["class_cnt"][j] > 0]

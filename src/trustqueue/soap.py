@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Policy, SystemConfig
+from .model import Policy, SystemConfig, check_punishment
 
 TRUST_POLICIES = (Policy.MEASURED_TRUST, Policy.BLIND_TRUST)
 
@@ -160,6 +160,7 @@ class UCell:
 
 def mean_response_u(config: SystemConfig, kind: Policy, b: float, i: int, k: int) -> UCell:
     """Mean response for a true-size-z_i job declaring z_k (0-based i, k)."""
+    check_punishment(b)
     U, Upun, Uunp = response_cube(config, kind, np.array([b]))
     if i <= k:
         return UCell(float(U[i, k, 0]), None, None)
@@ -186,6 +187,7 @@ class ResponseTable:
 
 
 def response_table(config: SystemConfig, kind: Policy, b: float) -> ResponseTable:
+    check_punishment(b)
     U3, Upun3, Uunp3 = response_cube(config, kind, np.array([b]))
     U, Upun, Uunp = U3[:, :, 0], Upun3[:, :, 0], Uunp3[:, :, 0]
     M = config.matrix.entries

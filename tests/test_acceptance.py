@@ -4,7 +4,7 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
 lines.  Criteria 2, 3, 4 and 5 assert externally published reference
 values; the engine reproduces the model's validated closed forms (which the
 simulation oracle confirms to tight CIs, criterion 7), and those published
-values are not attainable from this model — see the project notes.  The
+values are not attainable from this model — see docs/reference-gap.md.  The
 assertions are kept faithful rather than loosened.
 """
 

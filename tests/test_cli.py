@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -187,6 +188,38 @@ def test_simulate_trace(tmp_path, capsys):
     header = trace.read_text().splitlines()[0]
     assert header == ("arrival_time,size_index,estimate_index,declared_index,"
                       "punish_coin,is_probe,response_time")
+
+
+def test_simulate_trace_rows_in_completion_order(tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    code, _, _ = run(["simulate", "--preset", "three-class", "--policy", "mt",
+                      "--b", "0.4", "--jobs", "5000", "--reps", "1", "--probe-prob", "0.02",
+                      "--trace", str(trace)], capsys)
+    assert code == 0
+    with open(trace) as fh:
+        done = [float(r["arrival_time"]) + float(r["response_time"])
+                for r in csv.DictReader(fh)]
+    assert len(done) == 4500
+    slack = 1e-8 * done[-1]     # both columns are printed to 9 significant digits
+    assert all(later >= earlier - slack for earlier, later in zip(done, done[1:]))
+
+
+def test_simulate_reports_recorded_job_count(capsys):
+    # 3 replications x (2000 jobs - 200 warm-up), none of them probes
+    code, out, _ = run(["simulate", "--preset", "three-class", "--policy", "mt",
+                        "--b", "0.4", "--jobs", "2000", "--reps", "3",
+                        "--probe-prob", "0"], capsys)
+    assert code == 0
+    assert "(95% CI over 3 replications, 5400 jobs)" in out
+
+
+def test_simulate_without_honest_jobs_exits_1(capsys):
+    code, out, err = run(["simulate", "--preset", "three-class", "--policy", "mt",
+                          "--b", "0.4", "--jobs", "10", "--reps", "3",
+                          "--probe-prob", "0.9"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "no honest job" in err
 
 
 def test_unwritable_output_exits_1(capsys):

@@ -7,7 +7,7 @@ from conftest import random_config
 from trustqueue.incentives import (UndefinedColumnError, delta_grid, ic_check,
                                    ic_indicator, ic_region, pair_threshold,
                                    social_benefit_region)
-from trustqueue.model import Policy, SizeGrid, diagonal_matrix, validate_config
+from trustqueue.model import ConfigError, Policy, SizeGrid, diagonal_matrix, validate_config
 from trustqueue.soap import fcfs_mean_response, overall_curve
 
 MT = Policy.MEASURED_TRUST
@@ -231,3 +231,16 @@ def test_delta_grid_undefined_column():
     assert np.isfinite(d[0, 1, 0])
     report = ic_check(config, MT, 0.5)
     assert all(j != 1 for j, _, _ in report.violations)
+
+
+@pytest.mark.parametrize("b", [float("nan"), -0.1, 1.5])
+def test_ic_check_rejects_invalid_b(three_class, b):
+    with pytest.raises(ConfigError, match=r"punishment probability must be in \[0, 1\]"):
+        ic_check(three_class, MT, b)
+
+
+@pytest.mark.parametrize("kind", [MT, BT])
+@pytest.mark.parametrize("step", [0.0, -0.01, 2.0])
+def test_ic_region_rejects_bad_step(three_class, kind, step):
+    with pytest.raises(ValueError, match=r"step must be in \(0, 1\]"):
+        ic_region(three_class, kind, grid_step=step)

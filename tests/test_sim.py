@@ -3,8 +3,13 @@ import csv
 import numpy as np
 import pytest
 
+from conftest import random_config
+from event_sim import run_replication as event_replication
+from trustqueue.experiments import four_class_example, three_class_example
+from trustqueue.incentives import ic_region
 from trustqueue.model import Policy, PolicySpec, validate_config
-from trustqueue.sim import SimConfig, mix64, rank_boundaries, simulate
+from trustqueue.sim import (SimConfig, _run_replication, mix64, rank_boundaries,
+                            rank_path_table, simulate)
 from trustqueue.soap import (fcfs_mean_response, response_table, scf_mean_response)
 
 MT = Policy.MEASURED_TRUST
@@ -140,3 +145,64 @@ def test_parallel_workers_equivalent(three_class):
     parallel = simulate(three_class, PolicySpec(BT, 0.5), sim_cfg, workers=2)
     assert serial.overall == parallel.overall
     assert serial.per_class == parallel.per_class
+
+
+# --- per-job equality with the discrete-event oracle on shared draws ---
+
+def _replication_args(config, policy, job_count, seed, probe_p):
+    return (config.sizes, config.matrix.entries, config.lam, policy.kind.value, policy.b,
+            job_count, 0.1, probe_p, seed, True)
+
+
+def _assert_matches_event_loop(args):
+    got = _run_replication(args)
+    want = event_replication(args)
+    assert got["n_resp"] == want["n_resp"]
+    assert got["class_cnt"] == want["class_cnt"]
+    assert got["cell_cnt"] == want["cell_cnt"]
+    assert got["arrived_in_window"] == want["arrived_in_window"]
+    for key in ("sum_resp", "class_sum", "cell_sum", "area", "window"):
+        np.testing.assert_allclose(got[key], want[key], rtol=1e-9, atol=0, err_msg=key)
+    got_rows, want_rows = np.array(got["trace"], dtype=float), np.array(want["trace"], dtype=float)
+    assert got_rows.shape == want_rows.shape
+    # same jobs in the same completion order, same per-job fields
+    np.testing.assert_array_equal(got_rows[:, :6], want_rows[:, :6])
+    assert np.max(np.abs(got_rows[:, 6] - want_rows[:, 6])) <= 1e-8
+
+
+def _oracle_points():
+    three = three_class_example()
+    four = four_class_example(0.1)
+    points = [(three, PolicySpec(Policy.FCFS)), (three, PolicySpec(Policy.SCF)),
+              (three, PolicySpec(MT, 0.43)), (three, PolicySpec(BT, 0.81))]
+    for kind in (MT, BT):
+        iv = ic_region(four, kind).intervals[0]
+        points.append((four, PolicySpec(kind, 0.5 * (iv.lo + iv.hi))))
+    return points
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_replication_matches_event_loop_at_benchmark_points(seed):
+    for config, policy in _oracle_points():
+        _assert_matches_event_loop(_replication_args(config, policy, 20_000, seed, 0.005))
+
+
+@pytest.mark.parametrize("c", range(24))
+def test_replication_matches_event_loop_on_random_configs(c):
+    config = random_config(500 + c, n_range=(2, 6), max_load=0.97)
+    b = float(np.random.default_rng(c).uniform())
+    for kind in Policy:
+        _assert_matches_event_loop(
+            _replication_args(config, PolicySpec(kind, b), 3_000, 100 + c, 0.02))
+
+
+def test_rank_path_table_three_class_mt():
+    xle, final = rank_path_table(PolicySpec(MT, 0.5), np.array([1.0, 2.0, 3.0]))
+    # size 3 declaring 0, spared: climbs 1 -> 2 -> 3; punished: 1 -> 4 at age 1
+    assert xle[2, 0, 0].tolist() == [0.0, 1.0, 2.0, 3.0, 3.0]
+    assert final[2, 0, 0] == 3
+    assert xle[2, 0, 1].tolist() == [0.0, 1.0, 1.0, 1.0, 3.0]
+    assert final[2, 0, 1] == 4
+    # a job that fits its declaration never crosses: completion wins the tie
+    assert xle[1, 1, 1].tolist() == [0.0, 0.0, 2.0, 2.0, 2.0]
+    assert final[1, 1, 1] == 2

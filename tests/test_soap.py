@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import reference
 from conftest import random_config
-from trustqueue.model import Policy, SizeGrid, diagonal_matrix, validate_config
+from trustqueue.model import ConfigError, Policy, SizeGrid, diagonal_matrix, validate_config
 from trustqueue.soap import (fcfs_mean_response, mean_response_u, overall_curve,
                              rank_function, relevant_size_moments, response_cube,
                              response_table, scf_mean_response)
@@ -274,3 +274,11 @@ def test_zero_probability_estimate_column():
     assert np.isnan(table.T[1]).all()
     assert np.isfinite(table.T[0]).all() and np.isfinite(table.T[2]).all()
     assert np.isfinite(table.overall)
+
+
+@pytest.mark.parametrize("b", [float("nan"), -0.1, 1.5])
+def test_library_rejects_invalid_b(three_class, b):
+    with pytest.raises(ConfigError, match=r"punishment probability must be in \[0, 1\]"):
+        response_table(three_class, MT, b)
+    with pytest.raises(ConfigError, match=r"punishment probability must be in \[0, 1\]"):
+        mean_response_u(three_class, BT, b, 2, 0)
