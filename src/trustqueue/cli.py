@@ -132,14 +132,28 @@ def cmd_simulate(args) -> int:
                         warmup_fraction=args.warmup, probe_probability=args.probe_prob)
     result = simulate(config, policy, sim_cfg, workers=args.workers, trace_path=args.trace)
     o = result.overall
-    print(f"overall mean response: {o.mean:.6g} +- {o.half_width95:.3g} "
-          f"(95% CI over {sim_cfg.replications} replications, {o.count} jobs)")
+    single = sim_cfg.replications == 1
+
+    def ci(est) -> str:
+        return " (no CI: 1 replication)" if single else f" +- {est.half_width95:.3g}"
+
+    if single:
+        print(f"overall mean response: {o.mean:.6g} (no CI: 1 replication, {o.count} jobs)")
+    else:
+        print(f"overall mean response: {o.mean:.6g} +- {o.half_width95:.3g} "
+              f"(95% CI over {sim_cfg.replications} replications, {o.count} jobs)")
     for j, est in sorted(result.per_class.items()):
-        print(f"  honest estimate class {j}: {est.mean:.6g} +- {est.half_width95:.3g}")
+        print(f"  honest estimate class {j}: {est.mean:.6g}{ci(est)}")
     if result.per_cell and policy.kind.uses_estimates:
         print("probe deviation estimates U[i][k]:")
         for (i, k), est in sorted(result.per_cell.items()):
-            print(f"  i={i} k={k}: {est.mean:.6g} +- {est.half_width95:.3g} ({est.count} probes)")
+            print(f"  i={i} k={k}: {est.mean:.6g}{ci(est)} ({est.count} probes)")
+    dropped = ([f"honest estimate class {j}" for j in result.dropped_classes]
+               + [f"probe cell i={i} k={k}" for i, k in result.dropped_cells
+                  if policy.kind.uses_estimates])
+    if dropped:
+        print(f"left out, seen in only some of the {sim_cfg.replications} replications: "
+              + ", ".join(dropped))
     print(f"time-average jobs in system: {result.time_avg_in_system.mean:.6g} "
           f"(arrival rate measured {result.arrival_rate_measured:.6g})")
     if args.trace:

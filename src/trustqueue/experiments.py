@@ -10,6 +10,12 @@ Three presets ship built in so every analysis runs without external data:
 * ``two-class-rare``: sizes {1, 1.1} with probabilities {0.99, 0.01},
   perfect estimates, lambda = 0.8 — a near-deterministic workload where
   BlindTrust needs punishment probabilities close to 1.
+
+The best-b curve solves all its error rates in lockstep, per policy: the
+regions of the whole family come from one region search, and the
+golden-section refinement of every (error rate, interval) pair takes one
+cube per step.  Each pair takes the steps it would take alone, so the
+curve equals one built error rate by error rate.
 """
 
 from __future__ import annotations
@@ -19,10 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .incentives import DEFAULT_TOL_B, ic_indicator, ic_region
+from .incentives import DEFAULT_TOL_B, _ic_regions, ic_indicator
+from .incentives import ic_region  # noqa: F401  (perfbench's tracer rebinds experiments.ic_region)
 from .model import (Policy, SizeGrid, SizeEstimateMatrix, SystemConfig,
                     diagonal_matrix, uniform_error_matrix)
-from .soap import fcfs_mean_response, overall_curve, scf_mean_response
+from .soap import CubeFamily, fcfs_mean_response, overall_curve, scf_mean_response
 
 MT = Policy.MEASURED_TRUST
 BT = Policy.BLIND_TRUST
@@ -125,45 +132,66 @@ def sweep_region(size_probs, grid: SizeGrid, lam: float,
     return rows
 
 
-def _refine_minimum(fn, lo: float, hi: float, tol: float = 1e-9) -> float:
-    """Golden-section minimum of a smooth scalar function on [lo, hi]."""
+def _refine_minimum(fn, lo, hi, tol: float = 1e-9) -> np.ndarray:
+    """Golden-section minima of smooth scalar functions on the brackets [lo, hi], in lockstep.
+
+    fn(bs, todo) returns the functions indexed by todo, each at its own b.
+    Each bracket takes the scalar steps on its own and stops once its width
+    is at most tol.
+    """
     phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
     c = b - phi * (b - a)
     d = a + phi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = fn(d)
-    return 0.5 * (a + b)
+    every = np.arange(len(a))
+    fc, fd = fn(np.concatenate((c, d)), np.concatenate((every, every))).reshape(2, -1)
+    while True:
+        todo = np.flatnonzero(b - a > tol)
+        if not todo.size:
+            return 0.5 * (a + b)
+        left = fc[todo] <= fd[todo]
+        L, R = todo[left], todo[~left]
+        b[L], d[L], fd[L] = d[L], c[L], fc[L]
+        c[L] = b[L] - phi * (b[L] - a[L])
+        a[R], c[R], fc[R] = c[R], d[R], fd[R]
+        d[R] = a[R] + phi * (b[R] - a[R])
+        f_new = fn(np.where(left, c[todo], d[todo]), todo)
+        fc[L], fd[R] = f_new[left], f_new[~left]
+
+
+def _best_bs(configs, kind: Policy, b_step: float,
+             tol_b: float) -> list[tuple[float, float] | None]:
+    """(best b, E[T]) of each config, or None where its region is empty.
+
+    The regions and the golden-section searches of every config run in
+    lockstep over one CubeFamily; the reported E[T] comes from overall_curve.
+    """
+    family = CubeFamily(configs, kind)
+    regions = _ic_regions(family, grid_step=b_step, tol_b=tol_b)
+    bs = _grid(b_step)
+    owner, los, his = [], [], []
+    for c, region in enumerate(regions):
+        for iv in region.intervals:
+            mask = (bs >= iv.lo - 1e-15) & (bs <= iv.hi + 1e-15)
+            pts = bs[mask]
+            if len(pts) == 0:
+                pts = np.array([0.5 * (iv.lo + iv.hi)])
+            t = int(np.argmin(family.overall([c], pts[None])[0]))   # ties go to smallest b
+            owner.append(c)
+            los.append(max(iv.lo, float(pts[t]) - b_step))
+            his.append(min(iv.hi, float(pts[t]) + b_step))
+    owner = np.array(owner, dtype=int)
+    b_refs = _refine_minimum(lambda b, todo: family.overall(owner[todo], b[:, None])[:, 0],
+                             los, his)
+    candidates = [[] for _ in configs]     # (E[T], b) of each interval's minimum
+    for c, b_ref in zip(owner, b_refs):
+        candidates[c].append((float(overall_curve(configs[c], kind, [b_ref])[0]), float(b_ref)))
+    return [min(cands)[::-1] if cands else None for cands in candidates]
 
 
 def _best_b(config: SystemConfig, kind: Policy, b_step: float,
             tol_b: float) -> tuple[float, float] | None:
-    region = ic_region(config, kind, grid_step=b_step, tol_b=tol_b)
-    if region.is_empty:
-        return None
-    bs = _grid(b_step)
-    candidates = []
-    for iv in region.intervals:
-        mask = (bs >= iv.lo - 1e-15) & (bs <= iv.hi + 1e-15)
-        pts = bs[mask]
-        if len(pts) == 0:
-            pts = np.array([0.5 * (iv.lo + iv.hi)])
-        et = overall_curve(config, kind, pts)
-        t = int(np.argmin(et))           # first minimum: ties go to smallest b
-        lo = max(iv.lo, float(pts[t]) - b_step)
-        hi = min(iv.hi, float(pts[t]) + b_step)
-        b_ref = _refine_minimum(lambda b: float(overall_curve(config, kind, [b])[0]), lo, hi)
-        candidates.append((float(overall_curve(config, kind, [b_ref])[0]), b_ref))
-    et, best = min(candidates)
-    return best, et
+    return _best_bs([config], kind, b_step, tol_b)[0]
 
 
 def optimal_b_curve(size_probs, grid: SizeGrid, lam: float,
@@ -171,29 +199,28 @@ def optimal_b_curve(size_probs, grid: SizeGrid, lam: float,
                     x_max: float = 1.0, tol_b: float = DEFAULT_TOL_B) -> list[CurveRow]:
     """Per error rate: the IC-region punishment minimizing overall E[T].
 
-    Blind baseline columns are x-independent since neither FCFS nor SCF
-    reads estimates.
+    Every error rate's search runs in lockstep with the others, for each
+    trust policy.  Blind baseline columns are x-independent since neither
+    FCFS nor SCF reads estimates.
     """
     probs = np.asarray(size_probs, float)
     base_cfg = SystemConfig(lam=lam, grid=grid, matrix=diagonal_matrix(probs, grid))
     et_fcfs = fcfs_mean_response(base_cfg)
     et_scf, _ = scf_mean_response(base_cfg)
-    rows = []
-    for x in _grid(x_step, x_max):
-        config = SystemConfig(lam=lam, grid=grid,
-                              matrix=uniform_error_matrix(probs, grid, float(x)))
-        best_mt = _best_b(config, MT, b_step, tol_b)
-        best_bt = _best_b(config, BT, b_step, tol_b)
-        rows.append(CurveRow(
-            x=float(x),
-            best_b_mt=None if best_mt is None else best_mt[0],
-            et_mt=None if best_mt is None else best_mt[1],
-            best_b_bt=None if best_bt is None else best_bt[0],
-            et_bt=None if best_bt is None else best_bt[1],
-            et_fcfs=et_fcfs,
-            et_scf=et_scf,
-        ))
-    return rows
+    xs = _grid(x_step, x_max)
+    configs = [SystemConfig(lam=lam, grid=grid,
+                            matrix=uniform_error_matrix(probs, grid, float(x)))
+               for x in xs]
+    best = {kind: _best_bs(configs, kind, b_step, tol_b) for kind in (MT, BT)}
+    return [CurveRow(
+        x=float(x),
+        best_b_mt=None if best_mt is None else best_mt[0],
+        et_mt=None if best_mt is None else best_mt[1],
+        best_b_bt=None if best_bt is None else best_bt[0],
+        et_bt=None if best_bt is None else best_bt[1],
+        et_fcfs=et_fcfs,
+        et_scf=et_scf,
+    ) for x, best_mt, best_bt in zip(xs, best[MT], best[BT])]
 
 
 def _fmt(value) -> str:

@@ -4,11 +4,17 @@ A policy is incentive compatible at b when no internal-estimate class j
 gains by declaring some other class k: delta[j][k] = E[T_jk] - E[T_jj] >= 0
 for every pair (weakly, with a small tolerance).  For MeasuredTrust each
 pairwise difference is monotone in b (single crossing), so its feasible set
-is one-sided and the region is a single interval: every pair is evaluated
-at b = 0 and b = 1 in one response cube, and the pairs whose sign changes
-are bisected together, one cube per step over all their midpoints.  For
-BlindTrust the region is scanned on a dense grid and its endpoints are
-refined by bisection.
+is one-sided and the region is a single interval.  For BlindTrust the
+region is scanned on a dense grid and its endpoints are refined by
+bisection.
+
+Regions are found for a whole CubeFamily of configs at once, and
+ic_region is the family of one.  MeasuredTrust evaluates every pair of
+every config at b = 0 and b = 1 in one cube, then bisects all crossing
+pairs together; BlindTrust scans each config's grid, then bisects every
+endpoint of every config together.  Either way a bisection step is one
+cube over all the roots still open, and each root takes the same steps it
+would take alone.
 """
 
 from __future__ import annotations
@@ -18,7 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import Policy, SystemConfig, check_punishment
-from .soap import fcfs_mean_response, overall_curve, response_cube, scf_mean_response
+from .soap import (CubeFamily, fcfs_mean_response, overall_curve, response_cube,
+                   scf_mean_response)
 
 DEFAULT_TOL = 1e-9      # slack on delta >= 0, in time units
 DEFAULT_GRID = 1e-3     # b-grid step for scans
@@ -73,44 +80,53 @@ class BIntervalSet:
         return BInterval(self.intervals[0].lo, self.intervals[-1].hi)
 
 
-def delta_grid(config: SystemConfig, kind: Policy, bs) -> np.ndarray:
-    """deltas[j, k, t] over a b-grid; rows with zero estimate marginal are NaN."""
-    bs = np.atleast_1d(np.asarray(bs, dtype=float))
-    U, _, _ = response_cube(config, kind, bs)
+def _deltas(config: SystemConfig, U: np.ndarray) -> np.ndarray:
+    """deltas[j, k, t] from config's U plane (n, n, B); rows with zero estimate marginal are NaN."""
     M = config.matrix.entries
     R = config.matrix.estimate_marginal
     n = config.n
-    out = np.full((n, n, len(bs)), np.nan)
+    U2 = U.reshape(n, -1)
+    out = np.full((n, n, U.shape[2]), np.nan)
     for j in range(n):
         if R[j] <= 0:
             continue
-        Tj = np.tensordot(M[:, j], U, axes=(0, 0)) / R[j]   # (k, B)
+        Tj = np.dot(M[None, :, j], U2).reshape(n, -1) / R[j]   # (k, B), as tensordot over i
         out[j] = Tj - Tj[j][None, :]
     return out
 
 
-def ic_indicator(config: SystemConfig, kind: Policy, bs, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Boolean array over bs: True where every defined delta >= -tol."""
-    d = delta_grid(config, kind, bs)
+def delta_grid(config: SystemConfig, kind: Policy, bs) -> np.ndarray:
+    """deltas[j, k, t] over a b-grid; rows with zero estimate marginal are NaN."""
+    bs = np.atleast_1d(np.asarray(bs, dtype=float))
+    U, _, _ = response_cube(config, kind, bs)
+    return _deltas(config, U)
+
+
+def _feasible(d: np.ndarray, tol: float) -> np.ndarray:
+    """Boolean array over the last axis of deltas d: True where every defined delta >= -tol."""
     with np.errstate(invalid="ignore"):
         bad = d < -tol
     return ~np.nan_to_num(bad, nan=False).any(axis=(0, 1))
+
+
+def ic_indicator(config: SystemConfig, kind: Policy, bs, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Boolean array over bs: True where every defined delta >= -tol."""
+    return _feasible(delta_grid(config, kind, bs), tol)
 
 
 def ic_check(config: SystemConfig, kind: Policy, b: float, tol: float = DEFAULT_TOL) -> ICReport:
     """Exact incentive check at one punishment probability."""
     check_punishment(b)
     d = delta_grid(config, kind, np.array([b]))[:, :, 0]
-    violations = []
-    n = config.n
-    for j in range(n):
-        for k in range(n):
-            if j == k or np.isnan(d[j, k]):
-                continue
-            if d[j, k] < -tol:
-                violations.append((j, k, float(d[j, k])))
-    return ICReport(kind=kind, b=float(b), tol=tol, deltas=d,
-                    violations=tuple(sorted(violations, key=lambda v: v[2])))
+    return ICReport(kind=kind, b=float(b), tol=tol, deltas=d, violations=_violations(d, tol))
+
+
+def _violations(d: np.ndarray, tol: float) -> tuple[tuple[int, int, float], ...]:
+    """(j, k, delta) of every defined off-diagonal delta below -tol, most negative first."""
+    n = len(d)
+    found = [(j, k, float(d[j, k])) for j in range(n) for k in range(n)
+             if j != k and d[j, k] < -tol]      # NaN (undefined) compares False
+    return tuple(sorted(found, key=lambda v: v[2]))
 
 
 def _bisect(f, lo, hi, f_lo, tol_b: float) -> np.ndarray:
@@ -136,23 +152,17 @@ def _bisect(f, lo, hi, f_lo, tol_b: float) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
-def _bisect_scalar(f, lo: float, hi: float, f_lo: float, tol_b: float) -> float:
-    """_bisect for one root of a scalar function f(b)."""
-    return float(_bisect(lambda bs, _: [f(bs[0])], lo, hi, f_lo, tol_b)[0])
+def _pair_deltas(family: CubeFamily, owner: np.ndarray, js: np.ndarray, ks: np.ndarray):
+    """f(bs, r): delta[j][k] of the pairs r, pair r of config owner[r], each at its own b."""
+    R = np.array([config.matrix.estimate_marginal for config in family.configs])
+    cols = family.entries[owner, :, js] / R[owner, js, None]    # pair weights over true sizes
 
+    def f(bs, r):
+        U = family.cube(owner[r], bs[:, None])
+        t = np.arange(len(r))
+        return np.vecdot(cols[r], U[t, :, ks[r], 0] - U[t, :, js[r], 0])
 
-def _pair_delta_fn(config: SystemConfig, kind: Policy, j: int, k: int):
-    M = config.matrix.entries
-    R = config.matrix.estimate_marginal
-    col = M[:, j] / R[j]
-
-    def delta(b: float) -> float:
-        U, _, _ = response_cube(config, kind, np.array([b]))
-        Uk = U[:, k, 0]
-        Uj = U[:, j, 0]
-        return float(col @ (Uk - Uj))
-
-    return delta
+    return f
 
 
 def pair_threshold(config: SystemConfig, kind: Policy, j: int, k: int,
@@ -160,34 +170,29 @@ def pair_threshold(config: SystemConfig, kind: Policy, j: int, k: int,
     """Roots of b -> delta[j][k](b) in [0, 1].
 
     MeasuredTrust exploits the single-crossing structure: compare the signs
-    at b = 0 and b = 1 and bisect if they differ.  BlindTrust scans a grid
-    and bisects every bracketing cell; root pairs closer than grid_step can
-    be missed or merged.
+    at b = 0 and b = 1 and bisect if they differ.  BlindTrust evaluates a
+    grid in one cube and bisects every bracketing cell together; root pairs
+    closer than grid_step can be missed or merged.
     """
     R = config.matrix.estimate_marginal
     if R[j] <= 0:
         raise UndefinedColumnError(f"estimate class {j} has zero probability")
     if j == k:
         raise ValueError("honest declaration has no threshold")
-    delta = _pair_delta_fn(config, kind, j, k)
+    bs = np.array([0.0, 1.0]) if kind == Policy.MEASURED_TRUST else _scan_grid(grid_step)
+    pair = np.zeros(len(bs), dtype=int)
+    delta = _pair_deltas(CubeFamily([config], kind), pair, pair + j, pair + k)
+    vals = delta(bs, np.arange(len(bs)))
+    zero = vals[:-1] == 0.0
+    cells = np.flatnonzero(~zero & ((vals[:-1] < 0) != (vals[1:] < 0)))
+    roots = bs[:-1].copy()
+    roots[cells] = _bisect(lambda mid, todo: delta(mid, cells[todo]),
+                           bs[cells], bs[cells + 1], vals[cells], tol_b)
     if kind == Policy.MEASURED_TRUST:
-        d0, d1 = delta(0.0), delta(1.0)
-        if d0 == 0.0:
-            return [0.0]
-        if (d0 < 0) == (d1 < 0):
-            return []
-        return [_bisect_scalar(delta, 0.0, 1.0, d0, tol_b)]
-    bs = _scan_grid(grid_step)
-    vals = np.array([delta(float(b)) for b in bs])
-    roots = []
-    for t in range(len(bs) - 1):
-        if vals[t] == 0.0:
-            roots.append(float(bs[t]))
-        elif (vals[t] < 0) != (vals[t + 1] < 0):
-            roots.append(_bisect_scalar(delta, float(bs[t]), float(bs[t + 1]), vals[t], tol_b))
-    if vals[-1] == 0.0:
-        roots.append(1.0)
-    return roots
+        return [float(roots[0])] if zero[0] or cells.size else []
+    found = zero.copy()
+    found[cells] = True
+    return [float(b) for b in roots[found]] + ([1.0] if vals[-1] == 0.0 else [])
 
 
 def _pairs(config: SystemConfig):
@@ -196,41 +201,36 @@ def _pairs(config: SystemConfig):
     return [(j, k) for j in range(n) for k in range(n) if j != k and R[j] > 0]
 
 
-def _mt_region(config: SystemConfig, tol: float, tol_b: float) -> tuple[float, float] | None:
-    """Intersection of the one-sided feasible sets of all pairs, or None.
+def _mt_regions(family: CubeFamily, tol: float, tol_b: float) -> list[tuple[float, float] | None]:
+    """Per config, the intersection of the one-sided feasible sets of all pairs, or None.
 
-    Every pair is evaluated at b = 0 and b = 1 in one response cube; the
-    pairs whose sign changes are then bisected together, one cube per step
-    over all their midpoints.
+    Every pair of every config is evaluated at b = 0 and b = 1 in one cube;
+    the pairs whose sign changes are then bisected together, one cube per
+    step over all their midpoints.
     """
-    pairs = _pairs(config)
-    if not pairs:
-        return 0.0, 1.0
-    js, ks = np.array(pairs).T
-    M = config.matrix.entries
-    R = config.matrix.estimate_marginal
-    cols = (M[:, js] / R[js]).T         # cols[p]: weights of pair p over true sizes
+    pairs = [(c, j, k) for c, config in enumerate(family.configs)
+             for j, k in _pairs(config)]
+    owner, js, ks = np.array(pairs, dtype=int).reshape(-1, 3).T
+    delta = _pair_deltas(family, owner, js, ks)
 
-    def f(bs, p):
-        """delta[j][k] + tol of pairs p, each at its own b."""
-        U, _, _ = response_cube(config, Policy.MEASURED_TRUST, bs)
-        Ub = U.transpose(2, 1, 0)       # [b, declared, true size]
-        t = np.arange(len(bs))
-        return np.vecdot(cols[p], Ub[t, ks[p]] - Ub[t, js[p]]) + tol
+    def f(bs, r):
+        """delta[j][k] + tol of pairs r, each at its own b."""
+        return delta(bs, r) + tol
 
-    P = len(pairs)
-    f0, f1 = f(np.repeat([0.0, 1.0], P), np.tile(np.arange(P), 2)).reshape(2, P)
-    if np.any((f0 < 0) & (f1 < 0)):
-        return None
-    cross = np.flatnonzero(~((f0 >= 0) & (f1 >= 0)))
+    every = np.arange(len(pairs))
+    f0, f1 = f(np.zeros(len(pairs)), every), f(np.ones(len(pairs)), every)
+    dead = np.zeros(len(family), dtype=bool)    # some pair is infeasible on all of [0, 1]
+    dead[owner[(f0 < 0) & (f1 < 0)]] = True
+    cross = np.flatnonzero(~((f0 >= 0) & (f1 >= 0)) & ~dead[owner])
     roots = _bisect(lambda bs, todo: f(bs, cross[todo]),
                     np.zeros(len(cross)), np.ones(len(cross)), f0[cross], tol_b)
     right = f0[cross] < 0   # feasible to the right, [root, 1]; else to the left, [0, root]
-    lo = float(np.max(roots[right], initial=0.0))
-    hi = float(np.min(roots[~right], initial=1.0))
-    if lo > hi:
-        return None
-    return lo, hi
+    lo = np.zeros(len(family))
+    hi = np.ones(len(family))
+    np.maximum.at(lo, owner[cross[right]], roots[right])
+    np.minimum.at(hi, owner[cross[~right]], roots[~right])
+    return [None if dead[c] or lo[c] > hi[c] else (float(lo[c]), float(hi[c]))
+            for c in range(len(family))]
 
 
 def _check_step(grid_step: float) -> None:
@@ -246,57 +246,80 @@ def _scan_grid(grid_step: float) -> np.ndarray:
     return bs
 
 
-def _scan_region(indicator_fn, boundary_fn, grid_step: float, tol_b: float) -> list[BInterval]:
-    """Maximal true-runs of indicator_fn on a grid, endpoints refined by bisection."""
-    bs = _scan_grid(grid_step)
-    ok = indicator_fn(bs)
-    intervals = []
-    t = 0
-    while t < len(bs):
-        if not ok[t]:
-            t += 1
-            continue
-        t0 = t
-        while t + 1 < len(bs) and ok[t + 1]:
-            t += 1
-        lo = float(bs[t0])
-        hi = float(bs[t])
-        if t0 > 0:
-            g_lo = boundary_fn(float(bs[t0 - 1]))
-            if g_lo < 0:
-                lo = _bisect_scalar(boundary_fn, float(bs[t0 - 1]), lo, g_lo, tol_b)
-        if t < len(bs) - 1:
-            g_hi = boundary_fn(float(bs[t + 1]))
-            if g_hi < 0:
-                hi = _bisect_scalar(boundary_fn, hi, float(bs[t + 1]), boundary_fn(hi), tol_b)
-        intervals.append(BInterval(lo, hi))
-        t += 1
+def _scan_region(oks, boundary, bs: np.ndarray, tol_b: float) -> list[list[BInterval]]:
+    """Maximal true-runs of each member's indicator oks[c] on the grid bs.
+
+    boundary(b, members) gives each member's boundary function at its own b.
+    A run's endpoint is refined by bisection where the boundary function is
+    negative at the grid point beyond it; the endpoints of every member are
+    bisected together.
+    """
+    runs = []
+    for c, ok in enumerate(oks):
+        edges = np.flatnonzero(np.diff(np.concatenate(([0], np.asarray(ok, np.int8), [0]))))
+        runs += [(c, t0, t1 - 1) for t0, t1 in zip(edges[::2], edges[1::2])]
+    owner, start, stop = np.array(runs, dtype=int).reshape(-1, 3).T
+    lo, hi = bs[start], bs[stop]
+    left = np.flatnonzero(start > 0)
+    right = np.flatnonzero(stop < len(bs) - 1)
+    g = boundary(np.concatenate((bs[start[left] - 1], bs[stop[right] + 1])),
+                 np.concatenate((owner[left], owner[right])))
+    g_lo, g_hi = g[:len(left)], g[len(left):]
+    left, g_lo = left[g_lo < 0], g_lo[g_lo < 0]
+    right = right[g_hi < 0]
+    members = owner[np.concatenate((left, right))]
+    ends_at = _bisect(lambda b, todo: boundary(b, members[todo]),
+                      np.concatenate((bs[start[left] - 1], hi[right])),
+                      np.concatenate((lo[left], bs[stop[right] + 1])),
+                      np.concatenate((g_lo, boundary(hi[right], owner[right]))), tol_b)
+    lo[left], hi[right] = ends_at[:len(left)], ends_at[len(left):]
+    intervals = [[] for _ in oks]
+    for c, a, b in zip(owner, lo, hi):
+        intervals[c].append(BInterval(float(a), float(b)))
     return intervals
+
+
+def _ic_regions(family: CubeFamily, grid_step: float = DEFAULT_GRID,
+                tol_b: float = DEFAULT_TOL_B, tol: float = DEFAULT_TOL) -> list[BIntervalSet]:
+    """ic_region of every config of the family, all solved in lockstep."""
+    _check_step(grid_step)
+    configs = family.configs
+    if family.kind == Policy.MEASURED_TRUST:
+        spans = _mt_regions(family, tol, tol_b)
+        live = np.array([c for c, span in enumerate(spans) if span is not None], dtype=int)
+        mids = np.array([0.5 * (spans[c][0] + spans[c][1]) for c in live])
+        U = family.cube(live, mids[:, None])
+        for r, c in enumerate(live):
+            if _violations(_deltas(configs[c], U[r])[:, :, 0], tol):
+                raise RuntimeError("single-interval construction produced an infeasible interior")
+        intervals = [() if span is None else (BInterval(*span),) for span in spans]
+    else:
+        bs = _scan_grid(grid_step)
+        # one scan cube per config: a cube over the whole family's grids
+        # would hold configs x grid x n^2 doubles in every temporary
+        oks = [_feasible(_deltas(config, family.cube([c], bs[None])[0]), tol)
+               for c, config in enumerate(configs)]
+
+        def boundary(b, members):
+            U = family.cube(members, b[:, None])
+            out = np.empty(len(members))
+            # deltas root by root: the BLAS dot in _deltas rounds differently
+            # when one call spans many roots' columns
+            for r, c in enumerate(members):
+                d = _deltas(configs[c], U[r])[:, :, 0]
+                out[r] = np.nanmin(d + tol) if not np.isnan(d).all() else tol
+            return out
+
+        intervals = _scan_region(oks, boundary, bs, tol_b)
+    return [BIntervalSet(intervals=tuple(ivs), grid_step=grid_step, tol_b=tol_b)
+            for ivs in intervals]
 
 
 def ic_region(config: SystemConfig, kind: Policy,
               grid_step: float = DEFAULT_GRID, tol_b: float = DEFAULT_TOL_B,
               tol: float = DEFAULT_TOL) -> BIntervalSet:
     """All punishment probabilities where the policy is incentive compatible."""
-    _check_step(grid_step)
-    if kind == Policy.MEASURED_TRUST:
-        span = _mt_region(config, tol, tol_b)
-        intervals = () if span is None else (BInterval(*span),)
-        result = BIntervalSet(intervals=intervals, grid_step=grid_step, tol_b=tol_b)
-        if not result.is_empty:
-            mid = 0.5 * (result.intervals[0].lo + result.intervals[0].hi)
-            if not ic_check(config, kind, mid, tol).verdict:
-                raise RuntimeError("single-interval construction produced an infeasible interior")
-        return result
-
-    def boundary(b: float) -> float:
-        d = delta_grid(config, kind, np.array([b]))[:, :, 0]
-        return float(np.nanmin(d + tol)) if not np.isnan(d).all() else tol
-
-    intervals = _scan_region(
-        lambda bs: ic_indicator(config, kind, bs, tol), boundary, grid_step, tol_b
-    )
-    return BIntervalSet(intervals=tuple(intervals), grid_step=grid_step, tol_b=tol_b)
+    return _ic_regions(CubeFamily([config], kind), grid_step, tol_b, tol)[0]
 
 
 def social_benefit_region(config: SystemConfig, kind: Policy, baseline: Policy,
@@ -309,11 +332,9 @@ def social_benefit_region(config: SystemConfig, kind: Policy, baseline: Policy,
         target, _ = scf_mean_response(config)
     else:
         raise ValueError(f"baseline must be a blind policy, got {baseline}")
-
-    def gain(bs):
-        return target - overall_curve(config, kind, np.atleast_1d(bs))
-
-    intervals = _scan_region(
-        lambda bs: gain(bs) >= 0.0, lambda b: float(gain(b)[0]), grid_step, tol_b
-    )
+    bs = _scan_grid(grid_step)
+    family = CubeFamily([config], kind)
+    intervals = _scan_region([target - overall_curve(config, kind, bs) >= 0.0],
+                             lambda b, members: target - family.overall(members, b[:, None])[:, 0],
+                             bs, tol_b)[0]
     return BIntervalSet(intervals=tuple(intervals), grid_step=grid_step, tol_b=tol_b)

@@ -75,6 +75,9 @@ class SimResult:
     per_class: dict           # j -> SimEstimate over honest jobs
     time_avg_in_system: SimEstimate
     arrival_rate_measured: float
+    # entries left out of per_class / per_cell: seen in some replications, not in all
+    dropped_classes: tuple[int, ...] = ()
+    dropped_cells: tuple[tuple[int, int], ...] = ()
 
 
 def initial_rank(policy: PolicySpec, k: int) -> int:
@@ -217,13 +220,14 @@ def _run_replication(args):
     }
 
 
-def _combine(values) -> SimEstimate:
+def _combine(values, t975: np.ndarray) -> SimEstimate:
+    """Mean over replications and its 95% CI half-width; t975[r - 2] is the t quantile for r."""
     arr = np.asarray(list(values), dtype=float)
     r = len(arr)
     mean = float(arr.mean())
     if r < 2:
         return SimEstimate(mean, float("inf"), r)
-    half = float(stats.t.ppf(0.975, r - 1) * arr.std(ddof=1) / np.sqrt(r))
+    half = float(t975[r - 2] * arr.std(ddof=1) / np.sqrt(r))
     return SimEstimate(mean, half, r)
 
 
@@ -253,25 +257,31 @@ def simulate(config: SystemConfig, policy: PolicySpec, sim: SimConfig,
     if any(r["n_resp"] == 0 for r in reps):
         raise ValueError("a replication recorded no honest job after warm-up; "
                          "use more jobs or a lower probe probability")
-    est = _combine(r["sum_resp"] / r["n_resp"] for r in reps)
+    # the t quantiles for 2..replications replications, computed once
+    t975 = stats.t.ppf(0.975, np.arange(1, max(sim.replications, 2)))
+    est = _combine((r["sum_resp"] / r["n_resp"] for r in reps), t975)
     overall = SimEstimate(est.mean, est.half_width95, sum(r["n_resp"] for r in reps))
-    per_class = {}
+    per_class, dropped_classes = {}, []
     for j in range(n):
         means = [r["class_sum"][j] / r["class_cnt"][j] for r in reps if r["class_cnt"][j] > 0]
         if len(means) == len(reps):
-            est = _combine(means)
+            est = _combine(means, t975)
             per_class[j] = SimEstimate(est.mean, est.half_width95,
                                        sum(r["class_cnt"][j] for r in reps))
-    per_cell = {}
+        elif means:
+            dropped_classes.append(j)
+    per_cell, dropped_cells = {}, []
     for i in range(n):
         for k in range(n):
             means = [r["cell_sum"][i][k] / r["cell_cnt"][i][k]
                      for r in reps if r["cell_cnt"][i][k] > 0]
             if len(means) == len(reps):
-                est = _combine(means)
+                est = _combine(means, t975)
                 per_cell[(i, k)] = SimEstimate(est.mean, est.half_width95,
                                                sum(r["cell_cnt"][i][k] for r in reps))
-    time_avg = _combine(r["area"] / r["window"] for r in reps if r["window"] > 0)
+            elif means:
+                dropped_cells.append((i, k))
+    time_avg = _combine((r["area"] / r["window"] for r in reps if r["window"] > 0), t975)
     rate = float(np.mean([r["arrived_in_window"] / r["window"] for r in reps if r["window"] > 0]))
 
     if trace_path is not None:
@@ -283,4 +293,5 @@ def simulate(config: SystemConfig, policy: PolicySpec, sim: SimConfig,
                 w.writerow([f"{row[0]:.9g}", row[1], row[2], row[3],
                             int(row[4]), int(row[5]), f"{row[6]:.9g}"])
     return SimResult(overall=overall, per_cell=per_cell, per_class=per_class,
-                     time_avg_in_system=time_avg, arrival_rate_measured=rate)
+                     time_avg_in_system=time_avg, arrival_rate_measured=rate,
+                     dropped_classes=tuple(dropped_classes), dropped_cells=tuple(dropped_cells))

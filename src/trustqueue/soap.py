@@ -16,10 +16,13 @@ w = k under BlindTrust.
 The service each (true size i, estimate j) cell receives at ranks <= ell
 comes from one (ell, i, j) case table built by broadcasting.  Moment tables
 are linear in the punishment probability b, m[ell](b) = a[ell] + b d[ell],
-so response_cube evaluates a whole vector of b values in one pass with no
-Python loops.  Each element is computed with the same operations in the
-same order as a scalar evaluation at its b, so a cube over many b values
-agrees bit for bit with single-b cubes.
+so the cube formula evaluates a whole vector of b values in one pass with
+no Python loops.  It is written over a leading config axis: a CubeFamily
+stacks the coefficients of many configs of one size n, built once, and
+evaluates each config at its own b values in one cube; response_cube is
+the family of one.  Each element is computed with the same operations in
+the same order as a scalar evaluation of its config at its b, so any cube
+agrees bit for bit with single-config, single-b cubes.
 """
 
 from __future__ import annotations
@@ -120,6 +123,35 @@ def _moment_coeffs(config: SystemConfig, kind: Policy):
     return a1, d1, a2, d2
 
 
+def _cube(kind: Policy, lam, z, a1, d1, a2, d2, bs):
+    """The cube formula for C configs of one size n, as (U, punished, spared, overrun).
+
+    lam has shape (C,), z (C, n), the moment coefficients (C, n+2) and bs
+    (C, B): config c is evaluated at its own b values bs[c].  The (C, B)
+    axes trail, so each array operation runs over all of them at once.  U
+    has shape (n, n, C, B); punished and spared, an overrun's response with
+    and without punishment, broadcast against it; overrun is the i > k mask.
+    """
+    n = z.shape[1]
+    lam = lam[:, None]
+    m2 = a2.T[:, :, None] + d2.T[:, :, None] * bs
+    rho = lam * (a1.T[:, :, None] + d1.T[:, :, None] * bs)
+    rho_total = rho[n + 1]
+    # queue[k]: queueing delay shared by every job whose final rank is k + 1
+    queue = lam * m2[1:n + 1] / (2.0 * (1.0 - rho[:n]) * (1.0 - rho[1:n + 1]))
+    queue_punished = lam * m2[n + 1] / (2.0 * (1.0 - rho[n]) * (1.0 - rho_total))
+    # honest[i, k]: a size-z_i job that finishes at rank k + 1
+    z = z.T[:, None, :, None]
+    honest = queue[None] + z / (1.0 - rho[None, :n])
+    punished = (queue_punished + z[:, 0] / (1.0 - rho[n]))[:, None]
+    idx = np.arange(n)
+    # a spared MeasuredTrust overrun climbs to its own rank i + 1
+    spared = honest[idx, idx][:, None] if kind == Policy.MEASURED_TRUST else honest
+    overrun = (idx[:, None] > idx[None, :])[:, :, None, None]
+    U = np.where(overrun, bs * punished + (1.0 - bs) * spared, honest)
+    return U, punished, spared, overrun
+
+
 def response_cube(config: SystemConfig, kind: Policy, bs: np.ndarray):
     """(U, U_punished, U_unpunished) arrays of shape (n, n, len(bs)).
 
@@ -128,27 +160,47 @@ def response_cube(config: SystemConfig, kind: Policy, bs: np.ndarray):
     """
     _require_trust(kind)
     bs = np.atleast_1d(np.asarray(bs, dtype=float))
-    n = config.n
-    z = config.sizes
-    lam = config.lam
-    a1, d1, a2, d2 = _moment_coeffs(config, kind)
-    m2 = a2[:, None] + np.outer(d2, bs)
-    rho = lam * (a1[:, None] + np.outer(d1, bs))
-    rho_total = rho[n + 1]
-    # queue[k]: queueing delay shared by every job whose final rank is k + 1
-    queue = lam * m2[1:n + 1] / (2.0 * (1.0 - rho[:n]) * (1.0 - rho[1:n + 1]))
-    queue_punished = lam * m2[n + 1] / (2.0 * (1.0 - rho[n]) * (1.0 - rho_total))
-    # honest[i, k]: a size-z_i job that finishes at rank k + 1
-    honest = queue[None] + z[:, None, None] / (1.0 - rho[None, :n])
-    punished = (queue_punished + z[:, None] / (1.0 - rho[n]))[:, None, :]
-    idx = np.arange(n)
-    # a spared MeasuredTrust overrun climbs to its own rank i + 1
-    spared = honest[idx, idx][:, None, :] if kind == Policy.MEASURED_TRUST else honest
-    overrun = (idx[:, None] > idx[None, :])[:, :, None]
-    U = np.where(overrun, bs * punished + (1.0 - bs) * spared, honest)
+    coeffs = (a[None] for a in _moment_coeffs(config, kind))
+    U, punished, spared, overrun = _cube(kind, np.array([config.lam], dtype=float),
+                                         config.sizes[None], *coeffs, bs[None])
     Upun = np.where(overrun, punished, np.nan)
     Uunp = np.where(overrun, spared, np.nan)
-    return U, Upun, Uunp
+    return U[:, :, 0], Upun[:, :, 0], Uunp[:, :, 0]
+
+
+class CubeFamily:
+    """The cube formula's inputs for configs of one size n, stacked on a leading axis.
+
+    The moment coefficients of each config are built once, here, so a
+    lockstep search over the whole family costs one cube per step.
+    """
+
+    def __init__(self, configs, kind: Policy):
+        _require_trust(kind)
+        self.configs = tuple(configs)
+        self.kind = kind
+        if len({config.n for config in self.configs}) != 1:
+            raise ValueError("a cube family needs at least one config, all of one size n")
+        self.lam = np.array([config.lam for config in self.configs], dtype=float)
+        self.sizes = np.array([config.sizes for config in self.configs])
+        self.entries = np.array([config.matrix.entries for config in self.configs])
+        self.coeffs = tuple(np.array(a) for a in
+                            zip(*(_moment_coeffs(config, kind) for config in self.configs)))
+
+    def __len__(self) -> int:
+        return len(self.configs)
+
+    def cube(self, rows, bs: np.ndarray) -> np.ndarray:
+        """response_cube's U of configs rows, row r at its own b values bs[r]: (R, n, n, B)."""
+        if not len(rows):
+            return np.empty((0,) + self.entries.shape[1:] + bs.shape[1:])
+        U, _, _, _ = _cube(self.kind, self.lam[rows], self.sizes[rows],
+                           *(a[rows] for a in self.coeffs), bs)
+        return U.transpose(2, 0, 1, 3).copy()
+
+    def overall(self, rows, bs: np.ndarray) -> np.ndarray:
+        """overall_curve of configs rows, row r at its own b values bs[r]: shape (R, B)."""
+        return np.einsum("rij,rijb->rb", self.entries[rows], self.cube(rows, bs))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import pytest
 
@@ -220,6 +221,28 @@ def test_simulate_without_honest_jobs_exits_1(capsys):
     assert code == 1
     assert out == ""
     assert "no honest job" in err
+
+
+def test_simulate_single_replication_prints_no_interval(capsys):
+    code, out, _ = run(["simulate", "--preset", "three-class", "--policy", "mt",
+                        "--b", "0.4", "--jobs", "5000", "--reps", "1",
+                        "--probe-prob", "0.05"], capsys)
+    assert code == 0
+    assert "inf" not in out and "+-" not in out
+    assert re.search(r"overall mean response: \S+ \(no CI: 1 replication, \d+ jobs\)", out)
+    estimates = [ln for ln in out.splitlines() if ln.startswith("  ")]
+    assert len(estimates) == 3 + 9      # every class and every probe cell
+    assert all("(no CI: 1 replication)" in ln for ln in estimates)
+
+
+def test_simulate_names_entries_missing_from_some_replications(capsys):
+    # about 2 probes per replication: no probe cell is seen in all 3 of them
+    code, out, _ = run(["simulate", "--preset", "three-class", "--policy", "mt",
+                        "--jobs", "200", "--reps", "3", "--probe-prob", "0.01"], capsys)
+    assert code == 0
+    assert "probe deviation estimates" not in out
+    [line] = [ln for ln in out.splitlines() if ln.startswith("left out")]
+    assert line.startswith("left out, seen in only some of the 3 replications: probe cell i=")
 
 
 def test_unwritable_output_exits_1(capsys):

@@ -1,17 +1,23 @@
+import hashlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from trustqueue.experiments import (CURVE_HEADER, SWEEP_HEADER, four_class_family,
+from trustqueue.experiments import (CURVE_HEADER, SWEEP_HEADER, _best_b, _grid,
+                                    four_class_example, four_class_family,
                                     optimal_b_curve, rare_long_job_example,
                                     sweep_region, three_class_example,
                                     write_curve_csv, write_sweep_csv)
-from trustqueue.incentives import ic_check, ic_region
+from trustqueue.incentives import _ic_regions, ic_check, ic_region
 from trustqueue.model import Policy
-from trustqueue.soap import overall_curve
+from trustqueue.soap import CubeFamily, overall_curve
 
 MT = Policy.MEASURED_TRUST
+BT = Policy.BLIND_TRUST
+
+# sha256 of the full-resolution four-class curve CSV (x step 0.005, b step 0.001)
+FULL_CURVE_SHA256 = "9ba5d1cf29885406fe922ece1289803e08574ad821d66bc47e18f3b1437733cb"
 
 
 def test_three_class_preset_facts():
@@ -141,3 +147,28 @@ def test_curve_csv_matches_committed_bytes(tmp_path):
     path = tmp_path / "curve.csv"
     write_curve_csv(optimal_b_curve(probs, grid, lam, x_step=0.05, b_step=0.001), path)
     assert path.read_bytes() == expected.read_bytes()
+
+
+def test_full_resolution_curve_csv_digest(tmp_path):
+    probs, grid, lam = four_class_family()
+    path = tmp_path / "curve.csv"
+    write_curve_csv(optimal_b_curve(probs, grid, lam), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == FULL_CURVE_SHA256
+
+
+def test_family_of_one_equals_member_of_whole_family():
+    # each config's search runs in lockstep with 200 others; none may leak into another
+    probs, grid, lam = four_class_family()
+    xs = _grid(0.005)
+    rows = {row.x: row for row in optimal_b_curve(probs, grid, lam)}
+    configs = [four_class_example(float(x)) for x in xs]
+    for kind, b_col, et_col in ((MT, "best_b_mt", "et_mt"), (BT, "best_b_bt", "et_bt")):
+        regions = _ic_regions(CubeFamily(configs, kind))
+        for x in (0.0, 0.05, 0.1, 0.17):
+            c = int(np.flatnonzero(xs == x)[0])
+            alone = ic_region(four_class_example(x), kind)
+            assert alone == regions[c]
+            best = _best_b(four_class_example(x), kind, b_step=1e-3, tol_b=1e-6)
+            row = rows[x]
+            assert best == ((getattr(row, b_col), getattr(row, et_col))
+                            if getattr(row, b_col) is not None else None)

@@ -8,7 +8,7 @@ from trustqueue.incentives import (UndefinedColumnError, delta_grid, ic_check,
                                    ic_indicator, ic_region, pair_threshold,
                                    social_benefit_region)
 from trustqueue.model import ConfigError, Policy, SizeGrid, diagonal_matrix, validate_config
-from trustqueue.soap import fcfs_mean_response, overall_curve
+from trustqueue.soap import fcfs_mean_response, overall_curve, response_cube
 
 MT = Policy.MEASURED_TRUST
 BT = Policy.BLIND_TRUST
@@ -52,6 +52,49 @@ def test_rare_long_job_region(rare_long_job):
     iv = region.intervals[0]
     assert iv.lo == pytest.approx(RARE_BT_THRESHOLD, abs=1e-3)
     assert iv.hi == 1.0
+
+
+def _scalar_pair_scan(config, kind, j, k, tol_b=1e-6, grid_step=1e-3):
+    """pair_threshold's BlindTrust grid scan, one b and one bracket at a time."""
+    col = config.matrix.entries[:, j] / config.matrix.estimate_marginal[j]
+
+    def delta(b):
+        U = response_cube(config, kind, [b])[0][:, :, 0]
+        return float(col @ (U[:, k] - U[:, j]))
+
+    def bisect(lo, hi, f_lo):
+        while hi - lo > tol_b:
+            mid = 0.5 * (lo + hi)
+            f_mid = delta(mid)
+            if f_mid == 0.0:
+                lo = hi = mid
+            elif (f_mid < 0) == (f_lo < 0):
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    bs = np.arange(0.0, 1.0 + grid_step / 2, grid_step)
+    bs[-1] = 1.0
+    vals = [delta(float(b)) for b in bs]
+    roots = []
+    for t in range(len(bs) - 1):
+        if vals[t] == 0.0:
+            roots.append(float(bs[t]))
+        elif (vals[t] < 0) != (vals[t + 1] < 0):
+            roots.append(bisect(float(bs[t]), float(bs[t + 1]), vals[t]))
+    return roots + ([1.0] if vals[-1] == 0.0 else [])
+
+
+def test_pair_threshold_blind_trust_matches_scalar_scan(three_class, rare_long_job):
+    # the three-class BlindTrust region [0.2843, 0.2867] ends at the roots of
+    # two different pairs; (0, 2) has no root
+    cases = [(three_class, 0, 1), (three_class, 2, 0), (three_class, 0, 2),
+             (rare_long_job, 1, 0)]
+    for config, j, k in cases:
+        roots = pair_threshold(config, BT, j, k)
+        assert roots == _scalar_pair_scan(config, BT, j, k)
+    assert pair_threshold(three_class, BT, 0, 1)[0] > pair_threshold(three_class, BT, 2, 0)[0]
 
 
 def test_pair_threshold_argument_errors(three_class):

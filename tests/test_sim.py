@@ -101,6 +101,18 @@ def test_probe_cells_match_closed_form(three_class):
         assert est.contains(analytic.U[i, k]), ((i, k), est, analytic.U[i, k])
 
 
+def test_entries_seen_in_only_some_replications_are_named(three_class):
+    # about 2 probes per replication, so no probe cell is seen in all three
+    res = simulate(three_class, PolicySpec(MT, 0.4),
+                   SimConfig(job_count=200, seed=12345, replications=3,
+                             probe_probability=0.01))
+    assert res.per_cell == {} and res.dropped_cells
+    assert set(res.per_class) == {0, 1, 2} and res.dropped_classes == ()
+    res = simulate(three_class, PolicySpec(MT, 0.4),
+                   SimConfig(job_count=200, seed=12345, replications=3, probe_probability=0.0))
+    assert res.per_cell == {} and res.dropped_cells == ()
+
+
 def test_littles_law(three_class):
     res = simulate(three_class, PolicySpec(MT, 0.43),
                    SimConfig(job_count=150_000, seed=10, replications=5,
