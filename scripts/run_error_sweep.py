@@ -3,8 +3,8 @@
 
 Writes sweep.csv / curve.csv plus sweep.svg / curve.svg into --out-dir.
 The default grid is coarse enough for a quick look; pass --fine for the
-full-resolution grid (x step 0.005, b step 0.001; takes a few seconds for
-the sweep and a few minutes for the curve).
+full-resolution grid (x step 0.005, b step 0.001; the whole script then
+takes a few seconds).
 """
 
 import argparse

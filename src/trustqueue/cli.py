@@ -231,7 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-step", type=float, default=0.005)
     p.add_argument("--b-step", type=float, default=0.001)
     p.add_argument("--x-max", type=float, default=1.0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="processes that compute the sweep's columns")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_sweep)
 
@@ -252,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=12345)
     p.add_argument("--probe-prob", type=float, default=0.005)
     p.add_argument("--warmup", type=float, default=0.1)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="threads that run replications")
     p.add_argument("--trace", help="write per-job trace CSV (single replication only)")
     p.set_defaults(fn=cmd_simulate)
 

@@ -115,6 +115,8 @@ def sweep_region(size_probs, grid: SizeGrid, lam: float,
                  x_step: float = 0.005, b_step: float = 0.001,
                  x_max: float = 1.0, workers: int = 1) -> list[SweepRow]:
     """Incentive-compatibility indicators and mean responses on an (x, b) grid."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     xs = _grid(x_step, x_max)
     bs = _grid(b_step)
     tasks = [(np.asarray(size_probs, float), np.asarray(grid.sizes), lam, float(x), bs)

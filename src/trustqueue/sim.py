@@ -12,6 +12,13 @@ binary search.  A replication is a few numpy passes per level; the result
 equals the discrete-event simulation on the same draws job by job, up to
 rounding (tests/event_sim.py keeps that event loop as the reference).
 
+Replications run on ``workers`` threads.  A replication spends most of
+its time in long numpy passes (the random draws, cumulative sums, running
+minima and maxima, gathers and binary searches), which release the GIL,
+so threads overlap them without starting processes or pickling arguments
+and results.  Each replication has its own seeded generator and shares no
+mutable state, so the result does not depend on the number of workers.
+
 Honest jobs declare their internal estimate.  Sparse probe jobs declare a
 uniformly random class instead, estimating the deviation response times
 E[U_ik] without materially perturbing the honest equilibrium.
@@ -21,7 +28,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +63,11 @@ class SimConfig:
             raise ValueError("warmup_fraction must be in [0, 1)")
         if not (0.0 <= self.probe_probability < 1.0):
             raise ValueError("probe_probability must be in [0, 1)")
+        recorded = self.job_count - int(self.job_count * self.warmup_fraction)
+        if recorded < 2:
+            raise ValueError(f"job_count {self.job_count} with warmup_fraction "
+                             f"{self.warmup_fraction:g} leaves {recorded} recorded job(s) "
+                             "per replication; at least 2 are needed")
 
 
 @dataclass(frozen=True)
@@ -233,7 +245,13 @@ def _combine(values, t975: np.ndarray) -> SimEstimate:
 
 def simulate(config: SystemConfig, policy: PolicySpec, sim: SimConfig,
              workers: int = 1, trace_path=None) -> SimResult:
-    """Run independent replications and combine them into 95% CI estimates."""
+    """Run independent replications on ``workers`` threads; combine them into 95% CI estimates.
+
+    Threads suffice because a replication spends its time in numpy passes
+    that release the GIL; the result is the same for every worker count.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     if config.load >= 0.98 and sim.job_count < 100_000:
         warnings.warn(
             f"load {config.load:.3f} >= 0.98 with only {sim.job_count} jobs; "
@@ -249,7 +267,7 @@ def simulate(config: SystemConfig, policy: PolicySpec, sim: SimConfig,
         for rep in range(sim.replications)
     ]
     if workers > 1 and sim.replications > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             reps = list(pool.map(_run_replication, args))
     else:
         reps = [_run_replication(a) for a in args]

@@ -223,6 +223,35 @@ def test_simulate_without_honest_jobs_exits_1(capsys):
     assert "no honest job" in err
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_simulate_rejects_fewer_than_one_worker(workers, capsys):
+    code, out, err = run(["simulate", "--preset", "three-class", "--policy", "mt",
+                          "--b", "0.4", "--jobs", "2000", "--reps", "3",
+                          "--workers", workers], capsys)
+    assert code == 1
+    assert out == ""
+    assert f"workers must be at least 1, got {workers}" in err
+    assert "Traceback" not in err
+
+
+def test_sweep_rejects_zero_workers(tmp_path, capsys):
+    out_csv = tmp_path / "sweep.csv"
+    code, out, err = run(["sweep", "--x-step", "0.1", "--b-step", "0.05", "--x-max", "0.2",
+                          "--workers", "0", "--out", str(out_csv)], capsys)
+    assert code == 1
+    assert out == ""
+    assert "workers must be at least 1, got 0" in err
+    assert not out_csv.exists()
+
+
+def test_simulate_rejects_one_job_replications(capsys):
+    code, out, err = run(["simulate", "--preset", "three-class", "--policy", "mt",
+                          "--b", "0.4", "--jobs", "1", "--reps", "3"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "leaves 1 recorded job(s) per replication; at least 2 are needed" in err
+
+
 def test_simulate_single_replication_prints_no_interval(capsys):
     code, out, _ = run(["simulate", "--preset", "three-class", "--policy", "mt",
                         "--b", "0.4", "--jobs", "5000", "--reps", "1",

@@ -81,6 +81,13 @@ def test_sweep_workers_deterministic():
     assert a == b
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_sweep_rejects_fewer_than_one_worker(workers):
+    probs, grid, lam = four_class_family()
+    with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+        sweep_region(probs, grid, lam, x_step=0.1, b_step=0.05, x_max=0.2, workers=workers)
+
+
 def test_curve_baselines_and_feasibility():
     probs, grid, lam = four_class_family()
     rows = optimal_b_curve(probs, grid, lam, x_step=0.05, b_step=0.01, x_max=0.4)

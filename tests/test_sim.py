@@ -159,6 +159,34 @@ def test_parallel_workers_equivalent(three_class):
     assert serial.per_class == parallel.per_class
 
 
+@pytest.mark.parametrize("policy", [PolicySpec(Policy.FCFS), PolicySpec(Policy.SCF),
+                                    PolicySpec(MT, 0.43), PolicySpec(BT, 0.81)])
+def test_whole_result_independent_of_worker_count(three_class, policy):
+    # a probe rate high enough that every replication records every cell
+    sim_cfg = SimConfig(job_count=6_000, seed=33, replications=4, probe_probability=0.2)
+    results = [simulate(three_class, policy, sim_cfg, workers=w) for w in (1, 2, 3)]
+    assert len(results[0].per_cell) == 9 and not results[0].dropped_cells
+    assert results[1] == results[0]
+    assert results[2] == results[0]
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_simulate_rejects_fewer_than_one_worker(three_class, workers):
+    with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+        simulate(three_class, PolicySpec(MT, 0.43), SimConfig(job_count=1_000), workers=workers)
+
+
+@pytest.mark.parametrize("job_count, warmup", [(1, 0.1), (1, 0.0), (2, 0.5), (10, 0.9)])
+def test_sim_config_rejects_fewer_than_two_recorded_jobs(job_count, warmup):
+    with pytest.raises(ValueError, match="at least 2 are needed"):
+        SimConfig(job_count=job_count, warmup_fraction=warmup)
+
+
+def test_sim_config_accepts_two_recorded_jobs():
+    SimConfig(job_count=2, warmup_fraction=0.1)
+    SimConfig(job_count=10, warmup_fraction=0.8)
+
+
 # --- per-job equality with the discrete-event oracle on shared draws ---
 
 def _replication_args(config, policy, job_count, seed, probe_p):
