@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .incentives import DEFAULT_TOL_B, _ic_regions, ic_indicator
+from .incentives import DEFAULT_TOL_B, _ic_regions, _check_tol_b, ic_indicator
 from .incentives import ic_region  # noqa: F401  (perfbench's tracer rebinds experiments.ic_region)
 from .model import (Policy, SizeGrid, SizeEstimateMatrix, SystemConfig,
                     diagonal_matrix, uniform_error_matrix)
@@ -205,6 +205,7 @@ def optimal_b_curve(size_probs, grid: SizeGrid, lam: float,
     trust policy.  Blind baseline columns are x-independent since neither
     FCFS nor SCF reads estimates.
     """
+    _check_tol_b(tol_b)
     probs = np.asarray(size_probs, float)
     base_cfg = SystemConfig(lam=lam, grid=grid, matrix=diagonal_matrix(probs, grid))
     et_fcfs = fcfs_mean_response(base_cfg)

@@ -9,12 +9,15 @@ region is scanned on a dense grid and its endpoints are refined by
 bisection.
 
 Regions are found for a whole CubeFamily of configs at once, and
-ic_region is the family of one.  MeasuredTrust evaluates every pair of
-every config at b = 0 and b = 1 in one cube, then bisects all crossing
-pairs together; BlindTrust scans each config's grid, then bisects every
-endpoint of every config together.  Either way a bisection step is one
-cube over all the roots still open, and each root takes the same steps it
-would take alone.
+ic_region is the family of one.  MeasuredTrust takes every pair's value at
+b = 0 and b = 1 from one cube, then bisects all crossing pairs together;
+BlindTrust scans each config's grid, then bisects every endpoint of every
+config together.  Each root takes the same steps it would take alone.
+
+Those searches only ever ask for a sign.  numerators.Numerators reads
+most signs from each pair's polynomial numerator, where they are certain;
+the rest are computed as before, so the regions are the same, bit for bit,
+as those of searches that evaluate every sign.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import Policy, SystemConfig, check_punishment
+from .numerators import Numerators, guided, pair_deltas
 from .soap import (CubeFamily, fcfs_mean_response, overall_curve, response_cube,
                    scf_mean_response)
 
@@ -152,19 +156,6 @@ def _bisect(f, lo, hi, f_lo, tol_b: float) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
-def _pair_deltas(family: CubeFamily, owner: np.ndarray, js: np.ndarray, ks: np.ndarray):
-    """f(bs, r): delta[j][k] of the pairs r, pair r of config owner[r], each at its own b."""
-    R = np.array([config.matrix.estimate_marginal for config in family.configs])
-    cols = family.entries[owner, :, js] / R[owner, js, None]    # pair weights over true sizes
-
-    def f(bs, r):
-        U = family.cube(owner[r], bs[:, None])
-        t = np.arange(len(r))
-        return np.vecdot(cols[r], U[t, :, ks[r], 0] - U[t, :, js[r], 0])
-
-    return f
-
-
 def pair_threshold(config: SystemConfig, kind: Policy, j: int, k: int,
                    tol_b: float = DEFAULT_TOL_B, grid_step: float = DEFAULT_GRID) -> list[float]:
     """Roots of b -> delta[j][k](b) in [0, 1].
@@ -174,6 +165,7 @@ def pair_threshold(config: SystemConfig, kind: Policy, j: int, k: int,
     grid in one cube and bisects every bracketing cell together; root pairs
     closer than grid_step can be missed or merged.
     """
+    _check_tol_b(tol_b)
     R = config.matrix.estimate_marginal
     if R[j] <= 0:
         raise UndefinedColumnError(f"estimate class {j} has zero probability")
@@ -181,7 +173,7 @@ def pair_threshold(config: SystemConfig, kind: Policy, j: int, k: int,
         raise ValueError("honest declaration has no threshold")
     bs = np.array([0.0, 1.0]) if kind == Policy.MEASURED_TRUST else _scan_grid(grid_step)
     pair = np.zeros(len(bs), dtype=int)
-    delta = _pair_deltas(CubeFamily([config], kind), pair, pair + j, pair + k)
+    delta, _ = pair_deltas(CubeFamily([config], kind), pair, pair + j, pair + k)
     vals = delta(bs, np.arange(len(bs)))
     zero = vals[:-1] == 0.0
     cells = np.flatnonzero(~zero & ((vals[:-1] < 0) != (vals[1:] < 0)))
@@ -195,35 +187,22 @@ def pair_threshold(config: SystemConfig, kind: Policy, j: int, k: int,
     return [float(b) for b in roots[found]] + ([1.0] if vals[-1] == 0.0 else [])
 
 
-def _pairs(config: SystemConfig):
-    R = config.matrix.estimate_marginal
-    n = config.n
-    return [(j, k) for j in range(n) for k in range(n) if j != k and R[j] > 0]
-
-
 def _mt_regions(family: CubeFamily, tol: float, tol_b: float) -> list[tuple[float, float] | None]:
     """Per config, the intersection of the one-sided feasible sets of all pairs, or None.
 
-    Every pair of every config is evaluated at b = 0 and b = 1 in one cube;
-    the pairs whose sign changes are then bisected together, one cube per
-    step over all their midpoints.
+    Every pair's sign at b = 0 and b = 1 comes from the node cube of its
+    numerator; the pairs whose sign changes are then bisected together,
+    each midpoint's sign read from the numerator where it is certain and
+    the rest evaluated in one cube per step.
     """
-    pairs = [(c, j, k) for c, config in enumerate(family.configs)
-             for j, k in _pairs(config)]
-    owner, js, ks = np.array(pairs, dtype=int).reshape(-1, 3).T
-    delta = _pair_deltas(family, owner, js, ks)
-
-    def f(bs, r):
-        """delta[j][k] + tol of pairs r, each at its own b."""
-        return delta(bs, r) + tol
-
-    every = np.arange(len(pairs))
-    f0, f1 = f(np.zeros(len(pairs)), every), f(np.ones(len(pairs)), every)
+    num = Numerators(family, tol)
+    owner, f0, f1 = num.owner, num.f0, num.f1
     dead = np.zeros(len(family), dtype=bool)    # some pair is infeasible on all of [0, 1]
     dead[owner[(f0 < 0) & (f1 < 0)]] = True
     cross = np.flatnonzero(~((f0 >= 0) & (f1 >= 0)) & ~dead[owner])
-    roots = _bisect(lambda bs, todo: f(bs, cross[todo]),
-                    np.zeros(len(cross)), np.ones(len(cross)), f0[cross], tol_b)
+    f = guided(lambda bs, todo: num.sign(bs, cross[todo]),
+                lambda bs, todo: num.delta(bs, cross[todo]) + tol)
+    roots = _bisect(f, np.zeros(len(cross)), np.ones(len(cross)), f0[cross], tol_b)
     right = f0[cross] < 0   # feasible to the right, [root, 1]; else to the left, [0, root]
     lo = np.zeros(len(family))
     hi = np.ones(len(family))
@@ -236,6 +215,12 @@ def _mt_regions(family: CubeFamily, tol: float, tol_b: float) -> list[tuple[floa
 def _check_step(grid_step: float) -> None:
     if not 0.0 < grid_step <= 1.0:
         raise ValueError(f"b step must be in (0, 1], got {grid_step:g}")
+
+
+def _check_tol_b(tol_b: float) -> None:
+    """Reject a bisection tolerance that is not finite and positive."""
+    if not (np.isfinite(tol_b) and tol_b > 0.0):
+        raise ValueError(f"b tolerance must be finite and positive, got {tol_b:g}")
 
 
 def _scan_grid(grid_step: float) -> np.ndarray:
@@ -283,6 +268,7 @@ def _ic_regions(family: CubeFamily, grid_step: float = DEFAULT_GRID,
                 tol_b: float = DEFAULT_TOL_B, tol: float = DEFAULT_TOL) -> list[BIntervalSet]:
     """ic_region of every config of the family, all solved in lockstep."""
     _check_step(grid_step)
+    _check_tol_b(tol_b)
     configs = family.configs
     if family.kind == Policy.MEASURED_TRUST:
         spans = _mt_regions(family, tol, tol_b)
@@ -295,10 +281,11 @@ def _ic_regions(family: CubeFamily, grid_step: float = DEFAULT_GRID,
         intervals = [() if span is None else (BInterval(*span),) for span in spans]
     else:
         bs = _scan_grid(grid_step)
-        # one scan cube per config: a cube over the whole family's grids
-        # would hold configs x grid x n^2 doubles in every temporary
-        oks = [_feasible(_deltas(config, family.cube([c], bs[None])[0]), tol)
-               for c, config in enumerate(configs)]
+        num = Numerators(family, tol)
+        oks, unsure = num.scan(bs)
+        # a config the numerators leave open scans its grid in one cube of its own
+        for c in np.flatnonzero(unsure):
+            oks[c] = _feasible(_deltas(configs[c], family.cube([c], bs[None])[0]), tol)
 
         def boundary(b, members):
             U = family.cube(members, b[:, None])
@@ -310,6 +297,7 @@ def _ic_regions(family: CubeFamily, grid_step: float = DEFAULT_GRID,
                 out[r] = np.nanmin(d + tol) if not np.isnan(d).all() else tol
             return out
 
+        boundary = guided(num.boundary_sign, boundary)
         intervals = _scan_region(oks, boundary, bs, tol_b)
     return [BIntervalSet(intervals=tuple(ivs), grid_step=grid_step, tol_b=tol_b)
             for ivs in intervals]
@@ -326,6 +314,7 @@ def social_benefit_region(config: SystemConfig, kind: Policy, baseline: Policy,
                           grid_step: float = DEFAULT_GRID,
                           tol_b: float = DEFAULT_TOL_B) -> BIntervalSet:
     """Punishment probabilities where the trust policy beats a blind baseline."""
+    _check_tol_b(tol_b)
     if baseline == Policy.FCFS:
         target = fcfs_mean_response(config)
     elif baseline == Policy.SCF:

@@ -61,31 +61,35 @@ class MomentTable:
         return len(self.m1) - 2
 
 
-def _case_table(config: SystemConfig, kind: Policy) -> tuple[np.ndarray, np.ndarray]:
+def _case_table(z: np.ndarray, kind: Policy) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic service at ranks <= ell, spared and punished, as (v0, v1).
 
-    Both arrays have shape (n, n, n), indexed [ell - 1, true size i,
-    estimate j] for ranks ell = 1..n.  An honest job sits in class j until
-    age z_j and receives nothing at ranks below j + 1.  If its size exceeds
-    z_j it is either punished to rank n+1 (service z_j by then) or, when
-    spared, climbs class by class (MeasuredTrust, z_min(i, ell-1)) or keeps
-    class j (BlindTrust, z_i).  A job that fits (i <= j) receives z_i.
+    z holds the sizes on its last axis, (..., n); both arrays have shape
+    (..., n, n, n), indexed [..., ell - 1, true size i, estimate j] for
+    ranks ell = 1..n.  An honest job sits in class j until age z_j and
+    receives nothing at ranks below j + 1.  If its size exceeds z_j it is
+    either punished to rank n+1 (service z_j by then) or, when spared,
+    climbs class by class (MeasuredTrust, z_min(i, ell-1)) or keeps class j
+    (BlindTrust, z_i).  A job that fits (i <= j) receives z_i.
     """
-    z = config.sizes
-    n = config.n
+    n = z.shape[-1]
     ell = np.arange(1, n + 1)[:, None, None]
     i = np.arange(n)[None, :, None]
     j = np.arange(n)[None, None, :]
     reached = j + 1 <= ell
-    spared = z[np.minimum(i, ell - 1)] if kind == Policy.MEASURED_TRUST else z[i]
+    spared = z[..., np.minimum(i, ell - 1)] if kind == Policy.MEASURED_TRUST else z[..., i]
     v0 = np.where(reached, spared, 0.0)
-    v1 = np.where(reached, z[np.minimum(i, j)], 0.0)
+    v1 = np.where(reached, z[..., np.minimum(i, j)], 0.0)
     return v0, v1
 
 
 def _rank_sums(M: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """sum over (i, j) of M * v[ell], for every rank ell of an (n, n, n) table."""
-    return (M * v).reshape(len(v), -1).sum(axis=1)
+    """sum over (i, j) of M * v[..., ell, :, :], for every rank ell: shape (..., n).
+
+    M has shape (..., n, n) and v (..., n, n, n); each sum runs over one
+    contiguous row of n^2 products, so a batch sums as each member alone.
+    """
+    return (M[..., None, :, :] * v).reshape(v.shape[:-2] + (-1,)).sum(axis=-1)
 
 
 def relevant_size_moments(config: SystemConfig, kind: Policy, b: float) -> MomentTable:
@@ -94,7 +98,7 @@ def relevant_size_moments(config: SystemConfig, kind: Policy, b: float) -> Momen
     n = config.n
     M = config.matrix.entries
     z = config.sizes
-    v0, v1 = _case_table(config, kind)
+    v0, v1 = _case_table(z, kind)
     m1 = np.zeros(n + 2)
     m2 = np.zeros(n + 2)
     m1[1:n + 1] = _rank_sums(M, b * v1 + (1.0 - b) * v0)
@@ -105,21 +109,22 @@ def relevant_size_moments(config: SystemConfig, kind: Policy, b: float) -> Momen
     return MomentTable(kind=kind, b=float(b), m1=m1, m2=m2, rho=config.lam * m1)
 
 
-def _moment_coeffs(config: SystemConfig, kind: Policy):
-    """Arrays (a1, d1, a2, d2) with m1[ell](b) = a1[ell] + b d1[ell], ditto m2."""
-    n = config.n
-    M = config.matrix.entries
-    z = config.sizes
-    v0, v1 = _case_table(config, kind)
-    a1 = np.zeros(n + 2); d1 = np.zeros(n + 2)
-    a2 = np.zeros(n + 2); d2 = np.zeros(n + 2)
-    a1[1:n + 1] = _rank_sums(M, v0)
-    d1[1:n + 1] = _rank_sums(M, v1 - v0)
-    a2[1:n + 1] = _rank_sums(M, v0**2)
-    d2[1:n + 1] = _rank_sums(M, v1**2 - v0**2)
-    zi = np.broadcast_to(z[:, None], (n, n))
-    a1[n + 1] = float((M * zi).sum())
-    a2[n + 1] = float((M * zi**2).sum())
+def _moment_coeffs(z: np.ndarray, M: np.ndarray, kind: Policy):
+    """Arrays (a1, d1, a2, d2) with m1[ell](b) = a1[ell] + b d1[ell], ditto m2.
+
+    z (C, n) and M (C, n, n) hold the sizes and joint matrices of C configs;
+    each array has shape (C, n+2), built for all configs in one broadcast.
+    """
+    C, n = z.shape
+    v0, v1 = _case_table(z, kind)
+    a1, d1, a2, d2 = (np.zeros((C, n + 2)) for _ in range(4))
+    a1[:, 1:n + 1] = _rank_sums(M, v0)
+    d1[:, 1:n + 1] = _rank_sums(M, v1 - v0)
+    a2[:, 1:n + 1] = _rank_sums(M, v0**2)
+    d2[:, 1:n + 1] = _rank_sums(M, v1**2 - v0**2)
+    zi = z[:, :, None]
+    a1[:, n + 1] = (M * zi).reshape(C, -1).sum(axis=1)
+    a2[:, n + 1] = (M * zi**2).reshape(C, -1).sum(axis=1)
     return a1, d1, a2, d2
 
 
@@ -160,7 +165,7 @@ def response_cube(config: SystemConfig, kind: Policy, bs: np.ndarray):
     """
     _require_trust(kind)
     bs = np.atleast_1d(np.asarray(bs, dtype=float))
-    coeffs = (a[None] for a in _moment_coeffs(config, kind))
+    coeffs = _moment_coeffs(config.sizes[None], config.matrix.entries[None], kind)
     U, punished, spared, overrun = _cube(kind, np.array([config.lam], dtype=float),
                                          config.sizes[None], *coeffs, bs[None])
     Upun = np.where(overrun, punished, np.nan)
@@ -184,8 +189,7 @@ class CubeFamily:
         self.lam = np.array([config.lam for config in self.configs], dtype=float)
         self.sizes = np.array([config.sizes for config in self.configs])
         self.entries = np.array([config.matrix.entries for config in self.configs])
-        self.coeffs = tuple(np.array(a) for a in
-                            zip(*(_moment_coeffs(config, kind) for config in self.configs)))
+        self.coeffs = _moment_coeffs(self.sizes, self.entries, kind)
 
     def __len__(self) -> int:
         return len(self.configs)

@@ -120,6 +120,15 @@ def test_ic_region_rejects_zero_b_step(policy, capsys):
     assert "step must be in (0, 1]" in err
 
 
+@pytest.mark.parametrize("tol_b", ["0", "-1", "nan", "inf"])
+def test_ic_region_rejects_bad_tol_b(tol_b, capsys):
+    code, out, err = run(["ic-region", "--preset", "three-class", "--policy", "bt",
+                          f"--tol-b={tol_b}"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "b tolerance must be finite and positive" in err
+
+
 def test_ic_region_rejects_blind_policy(capsys):
     with pytest.raises(SystemExit):
         main(["ic-region", "--preset", "three-class", "--policy", "fcfs"])

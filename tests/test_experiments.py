@@ -179,3 +179,10 @@ def test_family_of_one_equals_member_of_whole_family():
             row = rows[x]
             assert best == ((getattr(row, b_col), getattr(row, et_col))
                             if getattr(row, b_col) is not None else None)
+
+
+@pytest.mark.parametrize("tol_b", [0.0, -1.0, float("nan"), float("inf")])
+def test_curve_rejects_bad_tol_b(tol_b):
+    probs, grid, lam = four_class_family()
+    with pytest.raises(ValueError, match="b tolerance must be finite and positive"):
+        optimal_b_curve(probs, grid, lam, x_step=0.5, tol_b=tol_b)

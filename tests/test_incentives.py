@@ -4,11 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_config
-from trustqueue.incentives import (UndefinedColumnError, delta_grid, ic_check,
+from trustqueue import numerators
+from trustqueue.experiments import (four_class_example, rare_long_job_example,
+                                    three_class_example)
+from trustqueue.incentives import (DEFAULT_GRID, DEFAULT_TOL, UndefinedColumnError,
+                                   _ic_regions, _scan_grid, delta_grid, ic_check,
                                    ic_indicator, ic_region, pair_threshold,
                                    social_benefit_region)
+from trustqueue.numerators import Numerators
 from trustqueue.model import ConfigError, Policy, SizeGrid, diagonal_matrix, validate_config
-from trustqueue.soap import fcfs_mean_response, overall_curve, response_cube
+from trustqueue.soap import CubeFamily, fcfs_mean_response, overall_curve, response_cube
 
 MT = Policy.MEASURED_TRUST
 BT = Policy.BLIND_TRUST
@@ -287,3 +292,74 @@ def test_ic_check_rejects_invalid_b(three_class, b):
 def test_ic_region_rejects_bad_step(three_class, kind, step):
     with pytest.raises(ValueError, match=r"step must be in \(0, 1\]"):
         ic_region(three_class, kind, grid_step=step)
+
+
+@pytest.mark.parametrize("tol_b", [0.0, -1.0, float("nan"), float("inf")])
+def test_region_searches_reject_bad_tol_b(three_class, tol_b):
+    searches = [lambda: ic_region(three_class, MT, tol_b=tol_b),
+                lambda: ic_region(three_class, BT, tol_b=tol_b),
+                lambda: social_benefit_region(three_class, BT, Policy.FCFS, tol_b=tol_b),
+                lambda: pair_threshold(three_class, MT, 1, 0, tol_b=tol_b),
+                lambda: pair_threshold(three_class, BT, 1, 0, tol_b=tol_b)]
+    for search in searches:
+        with pytest.raises(ValueError, match="b tolerance must be finite and positive"):
+            search()
+
+
+ZERO_COLUMN = validate_config(0.4, [1, 2, 3], [[0.40, 0.0, 0.06],
+                                               [0.20, 0.0, 0.10],
+                                               [0.04, 0.0, 0.20]])
+
+
+def _region_families():
+    """(name, configs, grid steps) of the families whose regions are compared."""
+    xs = np.round(np.linspace(0.0, 1.0, 2001), 12)
+    yield "four-class, 2001 error rates", [four_class_example(float(x)) for x in xs], (1e-3,)
+    for n in range(1, 9):
+        configs = [random_config(100 * n + s, n_range=(n, n), max_load=0.98) for s in range(8)]
+        yield f"random, n = {n}", configs, (1e-3, 0.05, 1.0)
+    # pairs of the zero column drop out, so its pair count differs from its neighbour's
+    yield "zero-probability estimate column", [ZERO_COLUMN, three_class_example()], (1e-3, 0.05, 1.0)
+    yield "two-class-rare", [rare_long_job_example()], (1e-3, 0.05, 1.0)
+
+
+@pytest.mark.parametrize("kind", [MT, BT])
+def test_numerator_signs_leave_regions_unchanged(kind, monkeypatch):
+    guided = {(name, step): _ic_regions(CubeFamily(configs, kind), grid_step=step)
+              for name, configs, steps in _region_families() for step in steps}
+    # no margin is ever cleared: every sign comes from f, every grid is scanned with cubes
+    monkeypatch.setattr(numerators, "_KAPPA", np.inf)
+    for name, configs, steps in _region_families():
+        for step in steps:
+            assert _ic_regions(CubeFamily(configs, kind), grid_step=step) == guided[name, step], \
+                (name, step)
+
+
+def test_numerators_settle_the_four_class_scan():
+    # so the comparison above does compare two paths on this family
+    configs = [four_class_example(float(x)) for x in np.round(np.linspace(0.0, 1.0, 201), 12)]
+    _, unsure = Numerators(CubeFamily(configs, BT), DEFAULT_TOL).scan(_scan_grid(DEFAULT_GRID))
+    assert not unsure.any()
+
+
+@pytest.mark.parametrize("kind", [MT, BT])
+def test_numerator_nodes_keep_pair_values_at_b_0_and_1(kind):
+    configs = [random_config(seed, n_range=(4, 4), max_load=0.98) for seed in range(12)]
+    num = Numerators(CubeFamily(configs, kind), DEFAULT_TOL)
+    every = np.arange(len(num.owner))
+    assert np.array_equal(num.f0, num.delta(np.zeros(len(every)), every) + DEFAULT_TOL)
+    assert np.array_equal(num.f1, num.delta(np.ones(len(every)), every) + DEFAULT_TOL)
+
+
+@pytest.mark.parametrize("kind", [MT, BT])
+def test_numerator_signs_agree_with_pair_deltas(kind):
+    rng = np.random.default_rng(5)
+    for n in range(2, 9):
+        configs = [random_config(1000 * n + s, n_range=(n, n), max_load=0.98) for s in range(4)]
+        num = Numerators(CubeFamily(configs, kind), DEFAULT_TOL)
+        r = np.repeat(np.arange(len(num.owner)), 50)
+        bs = rng.uniform(0.0, 1.0, len(r))
+        sign = num.sign(bs, r)
+        certain = sign != 0
+        assert certain.mean() > 0.99
+        assert np.array_equal(sign[certain], np.sign(num.delta(bs, r) + DEFAULT_TOL)[certain])

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import reference
 from conftest import random_config
 from trustqueue.model import ConfigError, Policy, SizeGrid, diagonal_matrix, validate_config
-from trustqueue.soap import (fcfs_mean_response, mean_response_u, overall_curve,
+from trustqueue.soap import (CubeFamily, fcfs_mean_response, mean_response_u, overall_curve,
                              rank_function, relevant_size_moments, response_cube,
                              response_table, scf_mean_response)
 
@@ -282,3 +282,16 @@ def test_library_rejects_invalid_b(three_class, b):
         response_table(three_class, MT, b)
     with pytest.raises(ConfigError, match=r"punishment probability must be in \[0, 1\]"):
         mean_response_u(three_class, BT, b, 2, 0)
+
+
+@pytest.mark.parametrize("kind", [Policy.MEASURED_TRUST, Policy.BLIND_TRUST])
+def test_family_moment_coefficients_match_moment_tables(kind):
+    # one broadcast builds every config's coefficients; none may take another's values
+    configs = [random_config(seed, n_range=(5, 5)) for seed in range(6)]
+    a1, d1, a2, d2 = CubeFamily(configs, kind).coeffs
+    for c, config in enumerate(configs):
+        at0 = relevant_size_moments(config, kind, 0.0)
+        at1 = relevant_size_moments(config, kind, 1.0)
+        assert np.array_equal(a1[c], at0.m1) and np.array_equal(a2[c], at0.m2)
+        np.testing.assert_allclose(a1[c] + d1[c], at1.m1, rtol=1e-13)
+        np.testing.assert_allclose(a2[c] + d2[c], at1.m2, rtol=1e-13)
