@@ -201,7 +201,7 @@ def _mt_regions(family: CubeFamily, tol: float, tol_b: float) -> list[tuple[floa
     dead[owner[(f0 < 0) & (f1 < 0)]] = True
     cross = np.flatnonzero(~((f0 >= 0) & (f1 >= 0)) & ~dead[owner])
     f = guided(lambda bs, todo: num.sign(bs, cross[todo]),
-                lambda bs, todo: num.delta(bs, cross[todo]) + tol)
+               lambda bs, todo: num.delta(bs, cross[todo]) + tol)
     roots = _bisect(f, np.zeros(len(cross)), np.ones(len(cross)), f0[cross], tol_b)
     right = f0[cross] < 0   # feasible to the right, [root, 1]; else to the left, [0, root]
     lo = np.zeros(len(family))
