@@ -88,14 +88,12 @@ def _deltas(config: SystemConfig, U: np.ndarray) -> np.ndarray:
     """deltas[j, k, t] from config's U plane (n, n, B); rows with zero estimate marginal are NaN."""
     M = config.matrix.entries
     R = config.matrix.estimate_marginal
-    n = config.n
-    U2 = U.reshape(n, -1)
-    out = np.full((n, n, U.shape[2]), np.nan)
-    for j in range(n):
-        if R[j] <= 0:
-            continue
-        Tj = np.dot(M[None, :, j], U2).reshape(n, -1) / R[j]   # (k, B), as tensordot over i
-        out[j] = Tj - Tj[j][None, :]
+    # T[j, k, t], summed over i in a fixed order, so each column rounds as it would alone
+    with np.errstate(divide="ignore", invalid="ignore"):
+        T = (M[:, :, None, None] * U[:, None]).sum(axis=0) / R[:, None, None]
+    honest = np.arange(config.n)
+    out = T - T[honest, honest][:, None]
+    out[R <= 0] = np.nan
     return out
 
 
@@ -290,8 +288,7 @@ def _ic_regions(family: CubeFamily, grid_step: float = DEFAULT_GRID,
         def boundary(b, members):
             U = family.cube(members, b[:, None])
             out = np.empty(len(members))
-            # deltas root by root: the BLAS dot in _deltas rounds differently
-            # when one call spans many roots' columns
+            # deltas root by root, each with its own config's weights
             for r, c in enumerate(members):
                 d = _deltas(configs[c], U[r])[:, :, 0]
                 out[r] = np.nanmin(d + tol) if not np.isnan(d).all() else tol

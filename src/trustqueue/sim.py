@@ -12,6 +12,10 @@ binary search.  A replication is a few numpy passes per level; the result
 equals the discrete-event simulation on the same draws job by job, up to
 rounding (tests/event_sim.py keeps that event loop as the reference).
 
+The rank paths are defined once, in ranks: each job's work at ranks <= w
+and its final rank w are read from ranks.rank_path_table, the table
+soap's closed forms are built on too.
+
 Replications run on ``workers`` threads.  A replication spends most of
 its time in long numpy passes (the random draws, cumulative sums, running
 minima and maxima, gathers and binary searches), which release the GIL,
@@ -35,6 +39,7 @@ import numpy as np
 from scipy import stats
 
 from .model import Policy, PolicySpec, SystemConfig
+from .ranks import initial_rank, rank_boundaries, rank_path_table  # noqa: F401  (re-exported)
 
 _M64 = (1 << 64) - 1
 
@@ -90,62 +95,6 @@ class SimResult:
     # entries left out of per_class / per_cell: seen in some replications, not in all
     dropped_classes: tuple[int, ...] = ()
     dropped_cells: tuple[tuple[int, int], ...] = ()
-
-
-def initial_rank(policy: PolicySpec, k: int) -> int:
-    """Rank at age zero: the declared class for trust policies, else 1."""
-    return k + 1 if policy.kind.uses_estimates else 1
-
-
-def rank_boundaries(policy: PolicySpec, sizes, k: int, punished: bool) -> list[tuple[float, int]]:
-    """Ages at which a job's rank changes, with the rank after each crossing.
-
-    Crossings at ages >= z_n can only fire for the punishment jump of a
-    job declaring class n, which never happens to a live job (it would
-    complete first); the entry is kept for uniformity.
-    """
-    z = np.asarray(sizes, dtype=float)
-    n = len(z)
-    kind = policy.kind
-    if kind == Policy.FCFS:
-        return []
-    if kind == Policy.SCF:
-        return [(float(z[m]), m + 2) for m in range(n - 1)]
-    if punished:
-        return [(float(z[k]), n + 1)]
-    if kind == Policy.BLIND_TRUST:
-        return []
-    return [(float(z[m]), m + 2) for m in range(k, n - 1)]
-
-
-def rank_path_table(policy: PolicySpec, sizes) -> tuple[np.ndarray, np.ndarray]:
-    """Service at ranks <= ell and final rank of every (true size, declared, coin).
-
-    Returns (xle, final): xle[i, k, coin, ell] is the service a size-z_i
-    job declaring class k receives at ranks <= ell, for ell = 0..n+1 (column
-    0 is the empty rank class), and final[i, k, coin] is its rank at
-    completion.  Both come from initial_rank and rank_boundaries.  A
-    crossing at an age equal to the size does not fire: completion wins
-    the tie.
-    """
-    z = np.asarray(sizes, dtype=float)
-    n = len(z)
-    xle = np.zeros((n, n, 2, n + 2))
-    final = np.zeros((n, n, 2), dtype=np.intp)
-    for k in range(n):
-        for coin in (0, 1):
-            bl = rank_boundaries(policy, z, k, bool(coin))
-            starts = [0.0] + [age for age, _ in bl]
-            ends = starts[1:] + [np.inf]
-            ranks = [initial_rank(policy, k)] + [rank for _, rank in bl]
-            for i in range(n):
-                # ranks only rise with age, so the segments at ranks <= ell
-                # are a prefix and xle is the end of the last one
-                for start, end, rank in zip(starts, ends, ranks):
-                    if start < z[i]:
-                        xle[i, k, coin, rank:] = min(end, z[i])
-                        final[i, k, coin] = rank
-    return xle, final
 
 
 def _run_replication(args):

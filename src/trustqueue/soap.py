@@ -1,37 +1,40 @@
 """Closed-form mean response times for rank-based M/G/1 scheduling.
 
-The trust policies are analyzed through their relevant-size moments: for
-each rank level ell, the first two moments of the service a generic honest
-job receives while its rank is <= ell.  Mean response times then follow
-from the age-based-priority queueing formula
+Every policy here is a monotone rank path, defined once in ranks: a job's
+rank only rises as it ages.  ranks.rank_path_table gives, for each (true
+size i, declared class k, punishment coin), the service the job receives
+at ranks <= ell and its final (worst) rank w; the simulator reads the same
+table.  The relevant-size moments of rank level ell are the first two
+moments of that service for a generic honest job, and mean response times
+follow from the age-based-priority (SOAP) formula
 
     E[U] = lam * E[S^2_{<=w}] / (2 (1 - rho_{<w}) (1 - rho_{<=w}))
            + z_i / (1 - rho_{<w})
 
-where w is the job's final (worst) rank.  A punished job has w = n+1, an
-honest or overestimating job has w = k (its declared class), and an
-unpunished underestimator climbs to w = i under MeasuredTrust or stays at
-w = k under BlindTrust.
+evaluated at w.  A punished job has w = n+1, an honest or overestimating
+job has w = k (its declared class), and an unpunished underestimator
+climbs to w = i under MeasuredTrust or stays at w = k under BlindTrust.
 
-The service each (true size i, estimate j) cell receives at ranks <= ell
-comes from one (ell, i, j) case table built by broadcasting.  Moment tables
-are linear in the punishment probability b, m[ell](b) = a[ell] + b d[ell],
-so the cube formula evaluates a whole vector of b values in one pass with
-no Python loops.  It is written over a leading config axis: a CubeFamily
-stacks the coefficients of many configs of one size n, built once, and
-evaluates each config at its own b values in one cube; response_cube is
-the family of one.  Each element is computed with the same operations in
-the same order as a scalar evaluation of its config at its b, so any cube
-agrees bit for bit with single-config, single-b cubes.
+Moment tables are linear in the punishment probability b, m[ell](b) =
+a[ell] + b d[ell], so the cube formula evaluates a whole vector of b
+values in one pass with no Python loops.  It is written over a leading
+config axis: a CubeFamily stacks the coefficients of many configs of one
+size n, built once, and evaluates each config at its own b values in one
+cube; response_cube is the family of one.  Each element is computed with
+the same operations in the same order as a scalar evaluation of its
+config at its b, so any cube agrees bit for bit with single-config,
+single-b cubes.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Policy, SystemConfig, check_punishment
+from .model import Policy, PolicySpec, SystemConfig, check_punishment
+from .ranks import initial_rank, rank_boundaries, rank_path_table
 
 TRUST_POLICIES = (Policy.MEASURED_TRUST, Policy.BLIND_TRUST)
 
@@ -61,123 +64,29 @@ class MomentTable:
         return len(self.m1) - 2
 
 
-def _case_table(z: np.ndarray, kind: Policy) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic service at ranks <= ell, spared and punished, as (v0, v1).
-
-    z holds the sizes on its last axis, (..., n); both arrays have shape
-    (..., n, n, n), indexed [..., ell - 1, true size i, estimate j] for
-    ranks ell = 1..n.  An honest job sits in class j until age z_j and
-    receives nothing at ranks below j + 1.  If its size exceeds z_j it is
-    either punished to rank n+1 (service z_j by then) or, when spared,
-    climbs class by class (MeasuredTrust, z_min(i, ell-1)) or keeps class j
-    (BlindTrust, z_i).  A job that fits (i <= j) receives z_i.
-    """
-    n = z.shape[-1]
-    ell = np.arange(1, n + 1)[:, None, None]
-    i = np.arange(n)[None, :, None]
-    j = np.arange(n)[None, None, :]
-    reached = j + 1 <= ell
-    spared = z[..., np.minimum(i, ell - 1)] if kind == Policy.MEASURED_TRUST else z[..., i]
-    v0 = np.where(reached, spared, 0.0)
-    v1 = np.where(reached, z[..., np.minimum(i, j)], 0.0)
-    return v0, v1
-
-
 def _rank_sums(M: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """sum over (i, j) of M * v[..., ell, :, :], for every rank ell: shape (..., n).
+    """sum over (i, k) of M * v[..., ell, :, :], for every rank ell: shape (..., n+2).
 
-    M has shape (..., n, n) and v (..., n, n, n); each sum runs over one
+    M has shape (..., n, n) and v (..., n+2, n, n); each sum runs over one
     contiguous row of n^2 products, so a batch sums as each member alone.
     """
     return (M[..., None, :, :] * v).reshape(v.shape[:-2] + (-1,)).sum(axis=-1)
 
 
-def relevant_size_moments(config: SystemConfig, kind: Policy, b: float) -> MomentTable:
-    """Relevant-size moment table for the given trust policy and punishment b."""
-    _require_trust(kind)
-    n = config.n
-    M = config.matrix.entries
-    z = config.sizes
-    v0, v1 = _case_table(z, kind)
-    m1 = np.zeros(n + 2)
-    m2 = np.zeros(n + 2)
-    m1[1:n + 1] = _rank_sums(M, b * v1 + (1.0 - b) * v0)
-    m2[1:n + 1] = _rank_sums(M, b * v1**2 + (1.0 - b) * v0**2)
-    zi = np.broadcast_to(z[:, None], (n, n))
-    m1[n + 1] = float((M * zi).sum())
-    m2[n + 1] = float((M * zi**2).sum())
-    return MomentTable(kind=kind, b=float(b), m1=m1, m2=m2, rho=config.lam * m1)
-
-
-def _moment_coeffs(z: np.ndarray, M: np.ndarray, kind: Policy):
-    """Arrays (a1, d1, a2, d2) with m1[ell](b) = a1[ell] + b d1[ell], ditto m2.
-
-    z (C, n) and M (C, n, n) hold the sizes and joint matrices of C configs;
-    each array has shape (C, n+2), built for all configs in one broadcast.
-    """
-    C, n = z.shape
-    v0, v1 = _case_table(z, kind)
-    a1, d1, a2, d2 = (np.zeros((C, n + 2)) for _ in range(4))
-    a1[:, 1:n + 1] = _rank_sums(M, v0)
-    d1[:, 1:n + 1] = _rank_sums(M, v1 - v0)
-    a2[:, 1:n + 1] = _rank_sums(M, v0**2)
-    d2[:, 1:n + 1] = _rank_sums(M, v1**2 - v0**2)
-    zi = z[:, :, None]
-    a1[:, n + 1] = (M * zi).reshape(C, -1).sum(axis=1)
-    a2[:, n + 1] = (M * zi**2).reshape(C, -1).sum(axis=1)
-    return a1, d1, a2, d2
-
-
-def _cube(kind: Policy, lam, z, a1, d1, a2, d2, bs):
-    """The cube formula for C configs of one size n, as (U, punished, spared, overrun).
-
-    lam has shape (C,), z (C, n), the moment coefficients (C, n+2) and bs
-    (C, B): config c is evaluated at its own b values bs[c].  The (C, B)
-    axes trail, so each array operation runs over all of them at once.  U
-    has shape (n, n, C, B); punished and spared, an overrun's response with
-    and without punishment, broadcast against it; overrun is the i > k mask.
-    """
-    n = z.shape[1]
-    lam = lam[:, None]
-    m2 = a2.T[:, :, None] + d2.T[:, :, None] * bs
-    rho = lam * (a1.T[:, :, None] + d1.T[:, :, None] * bs)
-    rho_total = rho[n + 1]
-    # queue[k]: queueing delay shared by every job whose final rank is k + 1
-    queue = lam * m2[1:n + 1] / (2.0 * (1.0 - rho[:n]) * (1.0 - rho[1:n + 1]))
-    queue_punished = lam * m2[n + 1] / (2.0 * (1.0 - rho[n]) * (1.0 - rho_total))
-    # honest[i, k]: a size-z_i job that finishes at rank k + 1
-    z = z.T[:, None, :, None]
-    honest = queue[None] + z / (1.0 - rho[None, :n])
-    punished = (queue_punished + z[:, 0] / (1.0 - rho[n]))[:, None]
-    idx = np.arange(n)
-    # a spared MeasuredTrust overrun climbs to its own rank i + 1
-    spared = honest[idx, idx][:, None] if kind == Policy.MEASURED_TRUST else honest
-    overrun = (idx[:, None] > idx[None, :])[:, :, None, None]
-    U = np.where(overrun, bs * punished + (1.0 - bs) * spared, honest)
-    return U, punished, spared, overrun
-
-
-def response_cube(config: SystemConfig, kind: Policy, bs: np.ndarray):
-    """(U, U_punished, U_unpunished) arrays of shape (n, n, len(bs)).
-
-    The conditional planes hold NaN where i <= k (no overrun is possible,
-    so the punishment coin never matters).
-    """
-    _require_trust(kind)
-    bs = np.atleast_1d(np.asarray(bs, dtype=float))
-    coeffs = _moment_coeffs(config.sizes[None], config.matrix.entries[None], kind)
-    U, punished, spared, overrun = _cube(kind, np.array([config.lam], dtype=float),
-                                         config.sizes[None], *coeffs, bs[None])
-    Upun = np.where(overrun, punished, np.nan)
-    Uunp = np.where(overrun, spared, np.nan)
-    return U[:, :, 0], Upun[:, :, 0], Uunp[:, :, 0]
+def _level_response(lam, m2, rho, size, w):
+    """Mean response of a job of the given size whose final rank is w (the formula above)."""
+    return lam * m2[w] / (2.0 * (1.0 - rho[w - 1]) * (1.0 - rho[w])) + size / (1.0 - rho[w - 1])
 
 
 class CubeFamily:
     """The cube formula's inputs for configs of one size n, stacked on a leading axis.
 
     The moment coefficients of each config are built once, here, so a
-    lockstep search over the whole family costs one cube per step.
+    lockstep search over the whole family costs one cube per step.  coeffs
+    holds (a1, d1, a2, d2), each (C, n+2), with m1[ell](b) = a1[ell] + b
+    d1[ell] and m2 likewise; final[i, k, coin] is the final rank, which
+    strictly increasing sizes make the same for every config, and moved
+    indexes the cells (i, k) whose final rank the punishment coin changes.
     """
 
     def __init__(self, configs, kind: Policy):
@@ -189,22 +98,77 @@ class CubeFamily:
         self.lam = np.array([config.lam for config in self.configs], dtype=float)
         self.sizes = np.array([config.sizes for config in self.configs])
         self.entries = np.array([config.matrix.entries for config in self.configs])
-        self.coeffs = _moment_coeffs(self.sizes, self.entries, kind)
+        policy = PolicySpec(kind)
+        tables = [rank_path_table(policy, z) for z in self.sizes]
+        final = np.array([final for _, final in tables])
+        self.final = final[0]
+        assert (final == self.final).all()
+        self.moved = np.nonzero(self.final[:, :, 0] != self.final[:, :, 1])
+        # the spared and punished planes, each C-contiguous in (ell, i, k)
+        xle = np.array([xle for xle, _ in tables])
+        v0, v1 = np.ascontiguousarray(xle.transpose(3, 0, 4, 1, 2))
+        M = self.entries
+        self.coeffs = (_rank_sums(M, v0), _rank_sums(M, v1 - v0),
+                       _rank_sums(M, v0**2), _rank_sums(M, v1**2 - v0**2))
 
     def __len__(self) -> int:
         return len(self.configs)
+
+    def _cube(self, rows, bs: np.ndarray):
+        """The cube formula for configs rows, row r at its own b values bs[r].
+
+        Returns (U, punished, spared): U, of shape (n, n, R, B), is the mean
+        response of each (true size i, declared k), and punished and spared,
+        of shape (len(moved[0]), R, B), are the responses of the moved cells
+        with the coin up and down.  The (R, B) axes trail, so each array
+        operation runs over all of them at once.
+        """
+        a1, d1, a2, d2 = (a[rows].T[:, :, None] for a in self.coeffs)
+        lam = self.lam[rows][:, None]
+        m2 = a2 + d2 * bs
+        rho = lam * (a1 + d1 * bs)
+        n = self.sizes.shape[1]
+        # u[i, w - 1]: a size-z_i job whose final rank is w, for w = 1..n+1
+        u = _level_response(lam, m2, rho, self.sizes[rows].T[:, None, :, None],
+                            np.arange(1, n + 2))
+        U = u[np.arange(n)[:, None], self.final[:, :, 0] - 1]
+        # only a cell the coin moves is blended; every other keeps its value exactly
+        i, k = self.moved
+        punished, spared = u[i, self.final[i, k, 1] - 1], U[i, k]
+        U[i, k] = bs * punished + (1.0 - bs) * spared
+        return U, punished, spared
 
     def cube(self, rows, bs: np.ndarray) -> np.ndarray:
         """response_cube's U of configs rows, row r at its own b values bs[r]: (R, n, n, B)."""
         if not len(rows):
             return np.empty((0,) + self.entries.shape[1:] + bs.shape[1:])
-        U, _, _, _ = _cube(self.kind, self.lam[rows], self.sizes[rows],
-                           *(a[rows] for a in self.coeffs), bs)
+        U, _, _ = self._cube(rows, bs)
         return U.transpose(2, 0, 1, 3).copy()
 
     def overall(self, rows, bs: np.ndarray) -> np.ndarray:
         """overall_curve of configs rows, row r at its own b values bs[r]: shape (R, B)."""
         return np.einsum("rij,rijb->rb", self.entries[rows], self.cube(rows, bs))
+
+
+def relevant_size_moments(config: SystemConfig, kind: Policy, b: float) -> MomentTable:
+    """Relevant-size moment table for the given trust policy and punishment b."""
+    a1, d1, a2, d2 = (a[0] for a in CubeFamily([config], kind).coeffs)
+    m1 = a1 + b * d1
+    return MomentTable(kind=kind, b=float(b), m1=m1, m2=a2 + b * d2, rho=config.lam * m1)
+
+
+def response_cube(config: SystemConfig, kind: Policy, bs: np.ndarray):
+    """(U, U_punished, U_unpunished) arrays of shape (n, n, len(bs)).
+
+    The conditional planes hold NaN where i <= k (no overrun is possible,
+    so the punishment coin never matters).
+    """
+    bs = np.atleast_1d(np.asarray(bs, dtype=float))
+    family = CubeFamily([config], kind)
+    U, punished, spared = family._cube([0], bs[None])
+    Upun, Uunp = np.full((2,) + U.shape, np.nan)
+    Upun[family.moved], Uunp[family.moved] = punished, spared
+    return U[:, :, 0], Upun[:, :, 0], Uunp[:, :, 0]
 
 
 @dataclass(frozen=True)
@@ -270,19 +234,15 @@ def overall_curve(config: SystemConfig, kind: Policy, bs) -> np.ndarray:
 
 
 def rank_function(grid, kind: Policy, k: int, punished: bool, age: float) -> int:
-    """Current rank (1..n+1) of a job declaring index k at the given age."""
+    """Current rank (1..n+1) of a job declaring index k at the given age, from its rank path."""
     _require_trust(kind)
-    z = grid.sizes
-    n = len(z)
+    n = len(grid.sizes)
     if not 0 <= k < n:
         raise ValueError(f"declared index {k} out of range for n={n}")
-    if age < z[k]:
-        return k + 1
-    if punished:
-        return n + 1
-    if kind == Policy.BLIND_TRUST:
-        return k + 1
-    return int(np.searchsorted(z, age, side="right")) + 1
+    policy = PolicySpec(kind)
+    crossings = rank_boundaries(policy, grid.sizes, k, punished)
+    ranks = [initial_rank(policy, k)] + [rank for _, rank in crossings]
+    return ranks[bisect_right([at for at, _ in crossings], age)]
 
 
 def fcfs_mean_response(config: SystemConfig) -> float:
@@ -295,20 +255,13 @@ def scf_mean_response(config: SystemConfig) -> tuple[float, np.ndarray]:
     """Smallest Class First: overall and per-true-size mean responses.
 
     SCF serves the job whose smallest still-possible size is least, i.e.
-    blind rank = min {ell : age < z_ell}.  A size-z_i job then has final
-    rank i and the relevant size at rank ell is min(S, z_ell).
+    blind rank = min {ell : age < z_ell}.  Its rank path gives a size-z_i
+    job final rank i + 1 and service min(z_i, z_ell) at ranks <= ell.
     """
-    z = config.sizes
-    lam = config.lam
+    xle, final = rank_path_table(PolicySpec(Policy.SCF), config.sizes)
     S = config.matrix.size_marginal
-    n = config.n
-    capped1 = np.array([0.0] + [float(S @ np.minimum(z, z[i])) for i in range(n)])
-    capped2 = np.array([0.0] + [float(S @ np.minimum(z, z[i]) ** 2) for i in range(n)])
-    rho = lam * capped1
-    per_size = np.empty(n)
-    for i in range(n):
-        per_size[i] = (
-            lam * capped2[i + 1] / (2.0 * (1.0 - rho[i]) * (1.0 - rho[i + 1]))
-            + z[i] / (1.0 - rho[i])
-        )
+    rows = xle[:, 0, 0].T.copy()     # (ell, i): one contiguous row per rank level
+    m1 = np.vecdot(rows, S)
+    m2 = np.vecdot(rows**2, S)
+    per_size = _level_response(config.lam, m2, config.lam * m1, config.sizes, final[:, 0, 0])
     return float(S @ per_size), per_size

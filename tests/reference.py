@@ -70,3 +70,26 @@ def overall(config, kind: Policy, b: float) -> float:
     n = config.n
     return float(sum(M[i, j] * u_value(config, kind, b, i, j)[0]
                      for i in range(n) for j in range(n)))
+
+
+def scf(config):
+    """Smallest Class First: (overall, per-size) mean responses.
+
+    A size-z_i job has final rank i + 1, and the service a job of size S
+    receives at ranks <= ell is the capped size min(S, z_ell).
+    """
+    n = config.n
+    z = config.sizes
+    S = config.matrix.size_marginal
+    lam = config.lam
+    m1 = [0.0] * (n + 1)
+    m2 = [0.0] * (n + 1)
+    for ell in range(1, n + 1):
+        for i in range(n):
+            capped = min(z[i], z[ell - 1])
+            m1[ell] += S[i] * capped
+            m2[ell] += S[i] * capped * capped
+    rho = [lam * v for v in m1]
+    per_size = [lam * m2[i + 1] / (2.0 * (1.0 - rho[i]) * (1.0 - rho[i + 1]))
+                + z[i] / (1.0 - rho[i]) for i in range(n)]
+    return sum(S[i] * per_size[i] for i in range(n)), per_size

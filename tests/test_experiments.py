@@ -18,6 +18,8 @@ BT = Policy.BLIND_TRUST
 
 # sha256 of the full-resolution four-class curve CSV (x step 0.005, b step 0.001)
 FULL_CURVE_SHA256 = "9ba5d1cf29885406fe922ece1289803e08574ad821d66bc47e18f3b1437733cb"
+# sha256 of the four-class sweep CSV (x step 0.01, b step 0.001: 101,101 rows)
+SWEEP_SHA256 = "f2cdb5311032838a35ba4ef5b9dfa04e50ff78b028eaca00bd843bb41a0337e0"
 
 
 def test_three_class_preset_facts():
@@ -161,6 +163,13 @@ def test_full_resolution_curve_csv_digest(tmp_path):
     path = tmp_path / "curve.csv"
     write_curve_csv(optimal_b_curve(probs, grid, lam), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == FULL_CURVE_SHA256
+
+
+def test_sweep_csv_digest(tmp_path):
+    probs, grid, lam = four_class_family()
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(sweep_region(probs, grid, lam, x_step=0.01, b_step=0.001), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SWEEP_SHA256
 
 
 def test_family_of_one_equals_member_of_whole_family():

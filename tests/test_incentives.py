@@ -281,6 +281,19 @@ def test_delta_grid_undefined_column():
     assert all(j != 1 for j, _, _ in report.violations)
 
 
+@pytest.mark.parametrize("kind", [MT, BT])
+def test_delta_grid_columns_equal_single_b(kind):
+    # a b's deltas must not depend on the other b values computed with it:
+    # ic_check at one b and a region scan over a grid give the same verdict
+    bs = np.linspace(0.0, 1.0, 101)
+    for seed in range(10):
+        config = random_config(seed, n_range=(2, 8))
+        grid = delta_grid(config, kind, bs)
+        for t, b in enumerate(bs):
+            assert np.array_equal(grid[:, :, t], delta_grid(config, kind, [b])[:, :, 0],
+                                  equal_nan=True), (seed, b)
+
+
 @pytest.mark.parametrize("b", [float("nan"), -0.1, 1.5])
 def test_ic_check_rejects_invalid_b(three_class, b):
     with pytest.raises(ConfigError, match=r"punishment probability must be in \[0, 1\]"):

@@ -246,3 +246,15 @@ def test_rank_path_table_three_class_mt():
     # a job that fits its declaration never crosses: completion wins the tie
     assert xle[1, 1, 1].tolist() == [0.0, 0.0, 2.0, 2.0, 2.0]
     assert final[1, 1, 1] == 2
+
+
+def test_rank_path_table_is_shared_and_read_only():
+    # the table depends only on the policy kind and the sizes, and every caller shares it
+    sizes = np.array([1.0, 2.0, 3.0])
+    xle, final = rank_path_table(PolicySpec(MT, 0.5), sizes)
+    again, final_again = rank_path_table(PolicySpec(MT, 0.9), sizes.tolist())
+    assert np.array_equal(xle, again) and np.array_equal(final, final_again)
+    with pytest.raises(ValueError):
+        xle[2, 0, 0, 1] = 7.0
+    with pytest.raises(ValueError):
+        final[2, 0, 0] = 1

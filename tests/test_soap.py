@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 import reference
 from conftest import random_config
-from trustqueue.model import ConfigError, Policy, SizeGrid, diagonal_matrix, validate_config
+from trustqueue import rank_boundaries
+from trustqueue.model import (ConfigError, Policy, PolicySpec, SizeGrid, diagonal_matrix,
+                             validate_config)
 from trustqueue.soap import (CubeFamily, fcfs_mean_response, mean_response_u, overall_curve,
                              rank_function, relevant_size_moments, response_cube,
                              response_table, scf_mean_response)
@@ -230,6 +232,16 @@ def test_scf_point_mass_equals_fcfs():
     assert overall == pytest.approx(fcfs_mean_response(config), rel=1e-12)
 
 
+@given(st.integers(0, 2**31))
+@settings(max_examples=40, deadline=None)
+def test_scf_matches_reference(seed):
+    config = random_config(seed, n_range=(1, 8))
+    overall, per_size = scf_mean_response(config)
+    ref_overall, ref_per_size = reference.scf(config)
+    assert overall == pytest.approx(ref_overall, rel=1e-12)
+    np.testing.assert_allclose(per_size, ref_per_size, rtol=1e-12)
+
+
 def test_rank_function_cases():
     grid = SizeGrid([1, 2, 3])
     assert rank_function(grid, MT, k=1, punished=False, age=0.5) == 2
@@ -250,6 +262,30 @@ def test_rank_function_monotone_in_age(seed, punished, kind):
     ranks = [rank_function(config.grid, kind, k, punished, a) for a in ages]
     assert all(r1 <= r2 for r1, r2 in zip(ranks, ranks[1:]))
     assert all(1 <= r <= config.n + 1 for r in ranks)
+
+
+def test_rank_function_spared_measured_trust_tops_out_at_rank_n():
+    # an unpunished MeasuredTrust job climbs to rank n, never to the punished rank n+1
+    grid = SizeGrid([1, 2, 3])
+    for k in range(3):
+        for age in (3.0, 3.5):
+            assert rank_function(grid, MT, k=k, punished=False, age=age) == 3
+
+
+@given(st.integers(0, 2**31), st.booleans(), st.sampled_from([MT, BT]))
+@settings(max_examples=40, deadline=None)
+def test_rank_function_follows_rank_boundaries(seed, punished, kind):
+    config = random_config(seed)
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(0, config.n))
+    crossings = rank_boundaries(PolicySpec(kind), config.sizes, k, punished)
+    ages = np.concatenate((config.sizes, rng.uniform(0, float(config.sizes[-1]) * 1.2, 25)))
+    for age in ages:
+        expected = k + 1
+        for at, rank in crossings:
+            if age >= at:
+                expected = rank
+        assert rank_function(config.grid, kind, k, punished, age) == expected
 
 
 def test_response_table_overall_consistent(three_class):
