@@ -244,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_curve)
 
-    p = sub.add_parser("simulate", help="sample-path simulation with 95% CIs")
+    p = sub.add_parser("simulate", help="sample-path simulation with 95%% CIs")
     _add_config_options(p, "three-class")
     p.add_argument("--policy", choices=list(POLICIES), default="mt")
     p.add_argument("--b", type=float, default=0.0)

@@ -11,11 +11,13 @@ Three presets ship built in so every analysis runs without external data:
   perfect estimates, lambda = 0.8 — a near-deterministic workload where
   BlindTrust needs punishment probabilities close to 1.
 
-The best-b curve solves all its error rates in lockstep, per policy: the
-regions of the whole family come from one region search, and the
-golden-section refinement of every (error rate, interval) pair takes one
-cube per step.  Each pair takes the steps it would take alone, so the
-curve equals one built error rate by error rate.
+The best-b curve solves all its error rates together, per policy: the
+regions of the whole family come from one region search, and E[T]'s
+stationary points from one node cube and its numerator's roots.  The
+candidates of every (error rate, interval) pair, its endpoints and the
+stationary points inside it, are evaluated in one more cube.  Each pair's
+result is that of the pair alone, so the curve equals one built error
+rate by error rate.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .incentives import DEFAULT_TOL_B, _ic_regions, _check_tol_b, ic_indicator
 from .incentives import ic_region  # noqa: F401  (perfbench's tracer rebinds experiments.ic_region)
 from .model import (Policy, SizeGrid, SizeEstimateMatrix, SystemConfig,
                     diagonal_matrix, uniform_error_matrix)
+from .numerators import stationary_points
 from .soap import CubeFamily, fcfs_mean_response, overall_curve, scf_mean_response
 
 MT = Policy.MEASURED_TRUST
@@ -134,61 +137,35 @@ def sweep_region(size_probs, grid: SizeGrid, lam: float,
     return rows
 
 
-def _refine_minimum(fn, lo, hi, tol: float = 1e-9) -> np.ndarray:
-    """Golden-section minima of smooth scalar functions on the brackets [lo, hi], in lockstep.
-
-    fn(bs, todo) returns the functions indexed by todo, each at its own b.
-    Each bracket takes the scalar steps on its own and stops once its width
-    is at most tol.
-    """
-    phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    every = np.arange(len(a))
-    fc, fd = fn(np.concatenate((c, d)), np.concatenate((every, every))).reshape(2, -1)
-    while True:
-        todo = np.flatnonzero(b - a > tol)
-        if not todo.size:
-            return 0.5 * (a + b)
-        left = fc[todo] <= fd[todo]
-        L, R = todo[left], todo[~left]
-        b[L], d[L], fd[L] = d[L], c[L], fc[L]
-        c[L] = b[L] - phi * (b[L] - a[L])
-        a[R], c[R], fc[R] = c[R], d[R], fd[R]
-        d[R] = a[R] + phi * (b[R] - a[R])
-        f_new = fn(np.where(left, c[todo], d[todo]), todo)
-        fc[L], fd[R] = f_new[left], f_new[~left]
-
-
 def _best_bs(configs, kind: Policy, b_step: float,
              tol_b: float) -> list[tuple[float, float] | None]:
     """(best b, E[T]) of each config, or None where its region is empty.
 
-    The regions and the golden-section searches of every config run in
-    lockstep over one CubeFamily; the reported E[T] comes from overall_curve.
+    E[T] is smooth on [0, 1], so its minimum over an interval lies at an
+    endpoint or at a stationary point inside it.  The regions of every
+    config come from one region search over a CubeFamily, the stationary
+    points from numerators.stationary_points, and the candidates of every
+    interval, sorted, are evaluated in one cube that also gives the
+    reported E[T], equal to overall_curve's.  Ties go to the smallest b.
     """
     family = CubeFamily(configs, kind)
     regions = _ic_regions(family, grid_step=b_step, tol_b=tol_b)
-    bs = _grid(b_step)
-    owner, los, his = [], [], []
-    for c, region in enumerate(regions):
-        for iv in region.intervals:
-            mask = (bs >= iv.lo - 1e-15) & (bs <= iv.hi + 1e-15)
-            pts = bs[mask]
-            if len(pts) == 0:
-                pts = np.array([0.5 * (iv.lo + iv.hi)])
-            t = int(np.argmin(family.overall([c], pts[None])[0]))   # ties go to smallest b
-            owner.append(c)
-            los.append(max(iv.lo, float(pts[t]) - b_step))
-            his.append(min(iv.hi, float(pts[t]) + b_step))
-    owner = np.array(owner, dtype=int)
-    b_refs = _refine_minimum(lambda b, todo: family.overall(owner[todo], b[:, None])[:, 0],
-                             los, his)
-    candidates = [[] for _ in configs]     # (E[T], b) of each interval's minimum
-    for c, b_ref in zip(owner, b_refs):
-        candidates[c].append((float(overall_curve(configs[c], kind, [b_ref])[0]), float(b_ref)))
-    return [min(cands)[::-1] if cands else None for cands in candidates]
+    owner = np.array([c for c, region in enumerate(regions) for _ in region.intervals], dtype=int)
+    best = [None] * len(configs)
+    if not owner.size:
+        return best
+    lo, hi = np.array([(iv.lo, iv.hi) for region in regions for iv in region.intervals]).T
+    roots = stationary_points(family, owner)
+    inside = (roots > lo[:, None]) & (roots < hi[:, None])     # NaN is never inside
+    bs = np.sort(np.column_stack((lo, np.where(inside, roots, hi[:, None]), hi)), axis=1)
+    # one b per cube row: each value is summed as overall_curve sums a single b
+    et = family.overall(np.repeat(owner, bs.shape[1]), bs.reshape(-1, 1)).reshape(bs.shape)
+    t = np.argmin(et, axis=1)       # the first of equal values: ties go to the smallest b
+    rows = np.arange(len(owner))
+    for c, b, e in zip(owner.tolist(), bs[rows, t].tolist(), et[rows, t].tolist()):
+        if best[c] is None or e < best[c][1]:     # a config's intervals come in increasing b
+            best[c] = (b, e)
+    return best
 
 
 def _best_b(config: SystemConfig, kind: Policy, b_step: float,

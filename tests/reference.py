@@ -43,12 +43,15 @@ def moments(config, kind: Policy, b: float):
     return m1, m2, rho
 
 
-def u_value(config, kind: Policy, b: float, i: int, k: int):
-    """(unconditional, punished, spared) for cell (i, k); Nones when i <= k."""
+def u_value(config, kind: Policy, b: float, i: int, k: int, table=None):
+    """(unconditional, punished, spared) for cell (i, k); Nones when i <= k.
+
+    table is moments(config, kind, b), computed here when not given.
+    """
     n = config.n
     z = config.sizes
     lam = config.lam
-    m1, m2, rho = moments(config, kind, b)
+    m1, m2, rho = table or moments(config, kind, b)
 
     def final_rank_response(size, w):
         return (lam * m2[w] / (2.0 * (1.0 - rho[w - 1]) * (1.0 - rho[w]))
@@ -65,11 +68,17 @@ def u_value(config, kind: Policy, b: float, i: int, k: int):
     return b * punished + (1 - b) * spared, punished, spared
 
 
-def overall(config, kind: Policy, b: float) -> float:
+def overall(config, kind: Policy, b):
+    """Honest-equilibrium mean response: a float, or an array for an array of b.
+
+    Every loop is scalar; an array b only runs each of them over many b at once.
+    """
     M = config.matrix.entries
     n = config.n
-    return float(sum(M[i, j] * u_value(config, kind, b, i, j)[0]
-                     for i in range(n) for j in range(n)))
+    table = moments(config, kind, b)
+    total = sum(M[i, j] * u_value(config, kind, b, i, j, table)[0]
+                for i in range(n) for j in range(n))
+    return total if isinstance(b, np.ndarray) else float(total)
 
 
 def scf(config):

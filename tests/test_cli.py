@@ -294,3 +294,13 @@ def test_preset_list(capsys):
     assert code == 0
     for name in ("three-class", "four-class", "two-class-rare"):
         assert name in out
+
+
+def test_help_lists_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for command in ("analyze", "ic-region", "sweep", "curve", "simulate", "plot", "preset"):
+        assert command in out
+    assert "sample-path simulation with 95% CIs" in out

@@ -4,20 +4,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trustqueue.experiments import (CURVE_HEADER, SWEEP_HEADER, _best_b, _grid,
+import reference
+from trustqueue.experiments import (CURVE_HEADER, SWEEP_HEADER, _best_b, _best_bs, _grid,
                                     four_class_example, four_class_family,
                                     optimal_b_curve, rare_long_job_example,
                                     sweep_region, three_class_example,
                                     write_curve_csv, write_sweep_csv)
 from trustqueue.incentives import _ic_regions, ic_check, ic_region
-from trustqueue.model import Policy
+from trustqueue.model import Policy, SizeGrid, SystemConfig, uniform_error_matrix
 from trustqueue.soap import CubeFamily, overall_curve
 
 MT = Policy.MEASURED_TRUST
 BT = Policy.BLIND_TRUST
 
 # sha256 of the full-resolution four-class curve CSV (x step 0.005, b step 0.001)
-FULL_CURVE_SHA256 = "9ba5d1cf29885406fe922ece1289803e08574ad821d66bc47e18f3b1437733cb"
+FULL_CURVE_SHA256 = "9fcfe732f9eece2059b3af23facb17782b4469fbc91a54b5e4c3ec8f0c462e4d"
 # sha256 of the four-class sweep CSV (x step 0.01, b step 0.001: 101,101 rows)
 SWEEP_SHA256 = "f2cdb5311032838a35ba4ef5b9dfa04e50ff78b028eaca00bd843bb41a0337e0"
 
@@ -195,3 +196,63 @@ def test_curve_rejects_bad_tol_b(tol_b):
     probs, grid, lam = four_class_family()
     with pytest.raises(ValueError, match="b tolerance must be finite and positive"):
         optimal_b_curve(probs, grid, lam, x_step=0.5, tol_b=tol_b)
+
+
+def _random_error_family(n: int, count: int, seed: int) -> list[SystemConfig]:
+    """Random sizes, size probabilities, loads and error rates of the uniform-error family."""
+    rng = np.random.default_rng(seed)
+    configs = []
+    for _ in range(count):
+        grid = SizeGrid(np.cumsum(rng.uniform(0.2, 3.0, n)))
+        probs = rng.dirichlet(np.ones(n))
+        x = rng.uniform(0.0, 0.2) if n > 1 else 0.0
+        configs.append(SystemConfig(lam=rng.uniform(0.3, 0.95) / (probs @ grid.sizes), grid=grid,
+                                    matrix=uniform_error_matrix(probs, grid, x)))
+    return configs
+
+
+def _check_against_reference_scan(config, kind, best):
+    region = ic_region(config, kind)
+    if best is None:
+        assert region.is_empty
+        return
+    b, et = best
+    assert region.contains(b)
+    # the scalar-loop oracle at 20,001 points inside each interval and at both ends
+    scan = min(reference.overall(config, kind, np.linspace(iv.lo, iv.hi, 20_003)).min()
+               for iv in region.intervals)
+    assert et <= scan * (1 + 1e-12)
+
+
+def test_best_b_is_no_worse_than_a_dense_reference_scan():
+    probs, grid, lam = four_class_family()
+    for row in optimal_b_curve(probs, grid, lam, x_step=0.05):
+        config = four_class_example(row.x)
+        for kind, b, et in ((MT, row.best_b_mt, row.et_mt), (BT, row.best_b_bt, row.et_bt)):
+            _check_against_reference_scan(config, kind, None if b is None else (b, et))
+    for n in range(1, 7):
+        configs = _random_error_family(n, 6, seed=n)
+        for kind in (MT, BT):
+            for config, best in zip(configs, _best_bs(configs, kind, 1e-3, 1e-6)):
+                _check_against_reference_scan(config, kind, best)
+
+
+def test_flat_mean_response_gives_the_lower_endpoint():
+    # with no wrong estimate (x = 0), or one class, no job ever overruns, so
+    # E[T] does not depend on b and the tie rule picks the region's lower end
+    cases = [(four_class_example(0.0), kind) for kind in (MT, BT)]
+    cases += [(config, kind) for config in _random_error_family(1, 4, seed=0) for kind in (MT, BT)]
+    for config, kind in cases:
+        assert len(set(overall_curve(config, kind, np.linspace(0.0, 1.0, 11)))) == 1
+        b, _ = _best_b(config, kind, b_step=1e-3, tol_b=1e-6)
+        assert b == ic_region(config, kind).intervals[0].lo
+    assert _best_b(four_class_example(0.0), MT, b_step=1e-3, tol_b=1e-6)[0] == 0.0
+
+
+def test_reported_mean_response_is_overall_curve_at_best_b():
+    probs, grid, lam = four_class_family()
+    for row in optimal_b_curve(probs, grid, lam):
+        config = four_class_example(row.x)
+        for kind, b, et in ((MT, row.best_b_mt, row.et_mt), (BT, row.best_b_bt, row.et_bt)):
+            if b is not None:
+                assert et == overall_curve(config, kind, [b])[0]

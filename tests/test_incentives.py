@@ -11,7 +11,7 @@ from trustqueue.incentives import (DEFAULT_GRID, DEFAULT_TOL, UndefinedColumnErr
                                    _ic_regions, _scan_grid, delta_grid, ic_check,
                                    ic_indicator, ic_region, pair_threshold,
                                    social_benefit_region)
-from trustqueue.numerators import Numerators
+from trustqueue.numerators import Numerators, stationary_points
 from trustqueue.model import ConfigError, Policy, SizeGrid, diagonal_matrix, validate_config
 from trustqueue.soap import CubeFamily, fcfs_mean_response, overall_curve, response_cube
 
@@ -376,3 +376,19 @@ def test_numerator_signs_agree_with_pair_deltas(kind):
         certain = sign != 0
         assert certain.mean() > 0.99
         assert np.array_equal(sign[certain], np.sign(num.delta(bs, r) + DEFAULT_TOL)[certain])
+
+
+@pytest.mark.parametrize("kind", [MT, BT])
+def test_stationary_points_find_every_turn_of_the_mean_response(kind):
+    bs = np.linspace(0.0, 1.0, 2001)
+    turns = 0
+    for n in range(1, 9):
+        configs = [random_config(2000 * n + s, n_range=(n, n), max_load=0.98) for s in range(25)]
+        roots = stationary_points(CubeFamily(configs, kind), np.arange(len(configs)))
+        for config, r in zip(configs, roots):
+            slope = np.sign(np.diff(overall_curve(config, kind, bs)))
+            # E[T] turns between grid points t and t + 2: a root lies within that cell pair
+            for t in np.flatnonzero(slope[:-1] * slope[1:] < 0):
+                turns += 1
+                assert np.any((r >= bs[t]) & (r <= bs[t + 2])), (n, bs[t + 1], r)
+    assert turns >= 5
