@@ -94,7 +94,8 @@ def cmd_ic_region(args) -> int:
     else:
         spans = ", ".join(f"[{iv.lo:.4f}, {iv.hi:.4f}]" for iv in region.intervals)
         print(f"incentive compatible region: {spans}")
-    print(f"  (endpoints resolved to {region.tol_b:g}; scan step {region.grid_step:g})")
+    print(f"  (exact endpoints: --b-step {region.grid_step:g} and --tol-b {region.tol_b:g} "
+          f"do not change this region, only the scans below)")
     for baseline, sb in social:
         spans = ("empty" if sb.is_empty else
                  ", ".join(f"[{iv.lo:.4f}, {iv.hi:.4f}]" for iv in sb.intervals))

@@ -30,7 +30,7 @@ import numpy as np
 from .incentives import DEFAULT_TOL_B, _ic_regions, _check_tol_b, ic_indicator
 from .incentives import ic_region  # noqa: F401  (perfbench's tracer rebinds experiments.ic_region)
 from .model import (Policy, SizeGrid, SizeEstimateMatrix, SystemConfig,
-                    diagonal_matrix, uniform_error_matrix)
+                    diagonal_matrix, uniform_error_entries, uniform_error_matrix)
 from .numerators import stationary_points
 from .soap import CubeFamily, fcfs_mean_response, overall_curve, scf_mean_response
 
@@ -98,6 +98,8 @@ class CurveRow:
 def _grid(step: float, upper: float = 1.0) -> np.ndarray:
     if not 0.0 < step <= 1.0:
         raise ValueError(f"grid step must be in (0, 1], got {step:g}")
+    if not 0.0 <= upper <= 1.0:
+        raise ValueError(f"x max must be in [0, 1], got {upper:g}")
     count = int(round(upper / step))
     return np.round(np.linspace(0.0, upper, count + 1), 12)
 
@@ -137,21 +139,20 @@ def sweep_region(size_probs, grid: SizeGrid, lam: float,
     return rows
 
 
-def _best_bs(configs, kind: Policy, b_step: float,
+def _best_bs(family: CubeFamily, b_step: float,
              tol_b: float) -> list[tuple[float, float] | None]:
-    """(best b, E[T]) of each config, or None where its region is empty.
+    """(best b, E[T]) of each config of the family, or None where its region is empty.
 
     E[T] is smooth on [0, 1], so its minimum over an interval lies at an
     endpoint or at a stationary point inside it.  The regions of every
-    config come from one region search over a CubeFamily, the stationary
+    config come from one region search over the family, the stationary
     points from numerators.stationary_points, and the candidates of every
     interval, sorted, are evaluated in one cube that also gives the
     reported E[T], equal to overall_curve's.  Ties go to the smallest b.
     """
-    family = CubeFamily(configs, kind)
     regions = _ic_regions(family, grid_step=b_step, tol_b=tol_b)
     owner = np.array([c for c, region in enumerate(regions) for _ in region.intervals], dtype=int)
-    best = [None] * len(configs)
+    best = [None] * len(family)
     if not owner.size:
         return best
     lo, hi = np.array([(iv.lo, iv.hi) for region in regions for iv in region.intervals]).T
@@ -170,7 +171,7 @@ def _best_bs(configs, kind: Policy, b_step: float,
 
 def _best_b(config: SystemConfig, kind: Policy, b_step: float,
             tol_b: float) -> tuple[float, float] | None:
-    return _best_bs([config], kind, b_step, tol_b)[0]
+    return _best_bs(CubeFamily([config], kind), b_step, tol_b)[0]
 
 
 def optimal_b_curve(size_probs, grid: SizeGrid, lam: float,
@@ -179,8 +180,9 @@ def optimal_b_curve(size_probs, grid: SizeGrid, lam: float,
     """Per error rate: the IC-region punishment minimizing overall E[T].
 
     Every error rate's search runs in lockstep with the others, for each
-    trust policy.  Blind baseline columns are x-independent since neither
-    FCFS nor SCF reads estimates.
+    trust policy, over a family built from the error matrices of every x
+    at once; one config, at x = 0, is validated.  Blind baseline columns
+    are x-independent since neither FCFS nor SCF reads estimates.
     """
     _check_tol_b(tol_b)
     probs = np.asarray(size_probs, float)
@@ -188,10 +190,9 @@ def optimal_b_curve(size_probs, grid: SizeGrid, lam: float,
     et_fcfs = fcfs_mean_response(base_cfg)
     et_scf, _ = scf_mean_response(base_cfg)
     xs = _grid(x_step, x_max)
-    configs = [SystemConfig(lam=lam, grid=grid,
-                            matrix=uniform_error_matrix(probs, grid, float(x)))
-               for x in xs]
-    best = {kind: _best_bs(configs, kind, b_step, tol_b) for kind in (MT, BT)}
+    entries = uniform_error_entries(probs, grid, xs)
+    best = {kind: _best_bs(CubeFamily.from_arrays(kind, lam, grid.sizes, entries), b_step, tol_b)
+            for kind in (MT, BT)}
     return [CurveRow(
         x=float(x),
         best_b_mt=None if best_mt is None else best_mt[0],

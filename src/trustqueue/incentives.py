@@ -2,38 +2,31 @@
 
 A policy is incentive compatible at b when no internal-estimate class j
 gains by declaring some other class k: delta[j][k] = E[T_jk] - E[T_jj] >= 0
-for every pair (weakly, with a small tolerance).  For MeasuredTrust each
-pairwise difference is monotone in b (single crossing), so its feasible set
-is one-sided and the region is a single interval.  For BlindTrust the
-region is scanned on a dense grid and its endpoints are refined by
-bisection.
+for every pair (weakly, with a small tolerance).
 
-Regions are found for a whole CubeFamily of configs at once, and
-ic_region is the family of one.  MeasuredTrust takes every pair's value at
-b = 0 and b = 1 from one cube, then bisects all crossing pairs together;
-BlindTrust scans each config's grid, then bisects every endpoint of every
-config together.  Each root takes the same steps it would take alone.
-
-Those searches only ever ask for a sign.  numerators.Numerators reads
-most signs from each pair's polynomial numerator, where they are certain;
-the rest are computed as before, so the regions are the same, bit for bit,
-as those of searches that evaluate every sign.
+Regions are exact.  The real roots of the pairs' polynomial numerators
+(numerators.roots), with b = 0 and b = 1, cut [0, 1] into cells where no
+pair changes sign.  Each cell is decided at its midpoint, by the
+numerators' signs where they are certain and by ic_check's rule
+elsewhere; feasible neighbours merge, and each endpoint is snapped inward
+to the nearest b where ic_check passes.  MeasuredTrust and BlindTrust are
+alike, and a whole CubeFamily is solved at once, each config as alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .model import Policy, SystemConfig, check_punishment
-from .numerators import Numerators, guided, pair_deltas
-from .soap import (CubeFamily, fcfs_mean_response, overall_curve, response_cube,
-                   scf_mean_response)
+from .numerators import Numerators, roots
+from .soap import (CubeFamily, estimate_means, fcfs_mean_response, overall_curve,
+                   response_cube, scf_mean_response)
 
 DEFAULT_TOL = 1e-9      # slack on delta >= 0, in time units
 DEFAULT_GRID = 1e-3     # b-grid step for scans
-DEFAULT_TOL_B = 1e-6    # bisection tolerance on b
+DEFAULT_TOL_B = 1e-6    # bisection tolerance on b, where a search bisects
 
 
 class UndefinedColumnError(ValueError):
@@ -84,31 +77,26 @@ class BIntervalSet:
         return BInterval(self.intervals[0].lo, self.intervals[-1].hi)
 
 
-def _deltas(config: SystemConfig, U: np.ndarray) -> np.ndarray:
-    """deltas[j, k, t] from config's U plane (n, n, B); rows with zero estimate marginal are NaN."""
-    M = config.matrix.entries
-    R = config.matrix.estimate_marginal
-    # T[j, k, t], summed over i in a fixed order, so each column rounds as it would alone
-    with np.errstate(divide="ignore", invalid="ignore"):
-        T = (M[:, :, None, None] * U[:, None]).sum(axis=0) / R[:, None, None]
-    honest = np.arange(config.n)
-    out = T - T[honest, honest][:, None]
-    out[R <= 0] = np.nan
-    return out
+def _deltas(M: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """deltas[..., j, k, t] from joint matrices M (..., n, n) and U planes (..., n, n, B).
+
+    Rows with zero estimate marginal are NaN.
+    """
+    T = estimate_means(M, U)
+    honest = np.arange(M.shape[-1])
+    return T - T[..., honest, honest, :][..., None, :]
 
 
 def delta_grid(config: SystemConfig, kind: Policy, bs) -> np.ndarray:
     """deltas[j, k, t] over a b-grid; rows with zero estimate marginal are NaN."""
     bs = np.atleast_1d(np.asarray(bs, dtype=float))
     U, _, _ = response_cube(config, kind, bs)
-    return _deltas(config, U)
+    return _deltas(config.matrix.entries, U)
 
 
 def _feasible(d: np.ndarray, tol: float) -> np.ndarray:
-    """Boolean array over the last axis of deltas d: True where every defined delta >= -tol."""
-    with np.errstate(invalid="ignore"):
-        bad = d < -tol
-    return ~np.nan_to_num(bad, nan=False).any(axis=(0, 1))
+    """d's shape without its (j, k) axes: True where every defined delta d[..., j, k, t] >= -tol."""
+    return ~(d < -tol).any(axis=(-3, -2))       # NaN (undefined) compares False
 
 
 def ic_indicator(config: SystemConfig, kind: Policy, bs, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -170,44 +158,22 @@ def pair_threshold(config: SystemConfig, kind: Policy, j: int, k: int,
     if j == k:
         raise ValueError("honest declaration has no threshold")
     bs = np.array([0.0, 1.0]) if kind == Policy.MEASURED_TRUST else _scan_grid(grid_step)
-    pair = np.zeros(len(bs), dtype=int)
-    delta, _ = pair_deltas(CubeFamily([config], kind), pair, pair + j, pair + k)
-    vals = delta(bs, np.arange(len(bs)))
+    family, col = CubeFamily([config], kind), config.matrix.entries[:, j] / R[j]
+
+    def delta(b, todo=None):     # todo: _bisect's root indices, all of this one pair
+        U = family.cube(np.zeros(len(b), dtype=int), b[:, None])[:, :, :, 0]
+        return np.vecdot(col, U[:, :, k] - U[:, :, j])
+
+    vals = delta(bs)
     zero = vals[:-1] == 0.0
     cells = np.flatnonzero(~zero & ((vals[:-1] < 0) != (vals[1:] < 0)))
     roots = bs[:-1].copy()
-    roots[cells] = _bisect(lambda mid, todo: delta(mid, cells[todo]),
-                           bs[cells], bs[cells + 1], vals[cells], tol_b)
+    roots[cells] = _bisect(delta, bs[cells], bs[cells + 1], vals[cells], tol_b)
     if kind == Policy.MEASURED_TRUST:
         return [float(roots[0])] if zero[0] or cells.size else []
     found = zero.copy()
     found[cells] = True
     return [float(b) for b in roots[found]] + ([1.0] if vals[-1] == 0.0 else [])
-
-
-def _mt_regions(family: CubeFamily, tol: float, tol_b: float) -> list[tuple[float, float] | None]:
-    """Per config, the intersection of the one-sided feasible sets of all pairs, or None.
-
-    Every pair's sign at b = 0 and b = 1 comes from the node cube of its
-    numerator; the pairs whose sign changes are then bisected together,
-    each midpoint's sign read from the numerator where it is certain and
-    the rest evaluated in one cube per step.
-    """
-    num = Numerators(family, tol)
-    owner, f0, f1 = num.owner, num.f0, num.f1
-    dead = np.zeros(len(family), dtype=bool)    # some pair is infeasible on all of [0, 1]
-    dead[owner[(f0 < 0) & (f1 < 0)]] = True
-    cross = np.flatnonzero(~((f0 >= 0) & (f1 >= 0)) & ~dead[owner])
-    f = guided(lambda bs, todo: num.sign(bs, cross[todo]),
-               lambda bs, todo: num.delta(bs, cross[todo]) + tol)
-    roots = _bisect(f, np.zeros(len(cross)), np.ones(len(cross)), f0[cross], tol_b)
-    right = f0[cross] < 0   # feasible to the right, [root, 1]; else to the left, [0, root]
-    lo = np.zeros(len(family))
-    hi = np.ones(len(family))
-    np.maximum.at(lo, owner[cross[right]], roots[right])
-    np.minimum.at(hi, owner[cross[~right]], roots[~right])
-    return [None if dead[c] or lo[c] > hi[c] else (float(lo[c]), float(hi[c]))
-            for c in range(len(family))]
 
 
 def _check_step(grid_step: float) -> None:
@@ -229,75 +195,81 @@ def _scan_grid(grid_step: float) -> np.ndarray:
     return bs
 
 
-def _scan_region(oks, boundary, bs: np.ndarray, tol_b: float) -> list[list[BInterval]]:
-    """Maximal true-runs of each member's indicator oks[c] on the grid bs.
+def _scan_region(ok, gain, bs: np.ndarray, tol_b: float) -> list[BInterval]:
+    """Maximal true-runs of the indicator ok on the grid bs.
 
-    boundary(b, members) gives each member's boundary function at its own b.
-    A run's endpoint is refined by bisection where the boundary function is
-    negative at the grid point beyond it; the endpoints of every member are
-    bisected together.
+    A run's end is refined by bisection where gain, the boundary function,
+    is negative at the grid point beyond it; every end is bisected together.
     """
-    runs = []
-    for c, ok in enumerate(oks):
-        edges = np.flatnonzero(np.diff(np.concatenate(([0], np.asarray(ok, np.int8), [0]))))
-        runs += [(c, t0, t1 - 1) for t0, t1 in zip(edges[::2], edges[1::2])]
-    owner, start, stop = np.array(runs, dtype=int).reshape(-1, 3).T
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], np.asarray(ok, np.int8), [0]))))
+    start, stop = edges[::2], edges[1::2] - 1
     lo, hi = bs[start], bs[stop]
-    left = np.flatnonzero(start > 0)
-    right = np.flatnonzero(stop < len(bs) - 1)
-    g = boundary(np.concatenate((bs[start[left] - 1], bs[stop[right] + 1])),
-                 np.concatenate((owner[left], owner[right])))
+    left, right = np.flatnonzero(start > 0), np.flatnonzero(stop < len(bs) - 1)
+    g = gain(np.concatenate((bs[start[left] - 1], bs[stop[right] + 1])))
     g_lo, g_hi = g[:len(left)], g[len(left):]
     left, g_lo = left[g_lo < 0], g_lo[g_lo < 0]
     right = right[g_hi < 0]
-    members = owner[np.concatenate((left, right))]
-    ends_at = _bisect(lambda b, todo: boundary(b, members[todo]),
-                      np.concatenate((bs[start[left] - 1], hi[right])),
+    ends_at = _bisect(lambda b, todo: gain(b), np.concatenate((bs[start[left] - 1], hi[right])),
                       np.concatenate((lo[left], bs[stop[right] + 1])),
-                      np.concatenate((g_lo, boundary(hi[right], owner[right]))), tol_b)
+                      np.concatenate((g_lo, gain(hi[right]))), tol_b)
     lo[left], hi[right] = ends_at[:len(left)], ends_at[len(left):]
-    intervals = [[] for _ in oks]
-    for c, a, b in zip(owner, lo, hi):
-        intervals[c].append(BInterval(float(a), float(b)))
-    return intervals
+    return [BInterval(float(a), float(b)) for a, b in zip(lo, hi)]
+
+
+def _passes(family: CubeFamily, rows: np.ndarray, bs: np.ndarray, tol: float) -> np.ndarray:
+    """ic_check's verdict for config rows[r] at bs[r], from one cube."""
+    return _feasible(_deltas(family.entries[rows], family.cube(rows, bs[:, None])), tol)[:, 0]
 
 
 def _ic_regions(family: CubeFamily, grid_step: float = DEFAULT_GRID,
                 tol_b: float = DEFAULT_TOL_B, tol: float = DEFAULT_TOL) -> list[BIntervalSet]:
-    """ic_region of every config of the family, all solved in lockstep."""
+    """ic_region of every config of the family; grid_step and tol_b are only validated."""
     _check_step(grid_step)
     _check_tol_b(tol_b)
-    configs = family.configs
-    if family.kind == Policy.MEASURED_TRUST:
-        spans = _mt_regions(family, tol, tol_b)
-        live = np.array([c for c, span in enumerate(spans) if span is not None], dtype=int)
-        mids = np.array([0.5 * (spans[c][0] + spans[c][1]) for c in live])
-        U = family.cube(live, mids[:, None])
-        for r, c in enumerate(live):
-            if _violations(_deltas(configs[c], U[r])[:, :, 0], tol):
-                raise RuntimeError("single-interval construction produced an infeasible interior")
-        intervals = [() if span is None else (BInterval(*span),) for span in spans]
-    else:
-        bs = _scan_grid(grid_step)
-        num = Numerators(family, tol)
-        oks, unsure = num.scan(bs)
-        # a config the numerators leave open scans its grid in one cube of its own
-        for c in np.flatnonzero(unsure):
-            oks[c] = _feasible(_deltas(configs[c], family.cube([c], bs[None])[0]), tol)
-
-        def boundary(b, members):
-            U = family.cube(members, b[:, None])
-            out = np.empty(len(members))
-            # deltas root by root, each with its own config's weights
-            for r, c in enumerate(members):
-                d = _deltas(configs[c], U[r])[:, :, 0]
-                out[r] = np.nanmin(d + tol) if not np.isnan(d).all() else tol
-            return out
-
-        boundary = guided(num.boundary_sign, boundary)
-        intervals = _scan_region(oks, boundary, bs, tol_b)
+    num = Numerators(family, tol)
+    C = len(family)
+    cuts = roots(num.coef, num.owner, C)      # sorted, NaN last
+    cuts = np.sort(np.column_stack((np.zeros(C), cuts, np.ones(C))), axis=1)
+    mids = 0.5 * (cuts[:, :-1] + cuts[:, 1:])
+    owner, cell = np.nonzero(~np.isnan(mids))
+    b = mids[owner, cell]
+    # each cell's worst certain sign over its config's pairs
+    sign = np.ones(len(b))
+    for pairs in num.rows[owner].T:
+        sign = np.minimum(sign, num.sign(b, pairs))
+    ok, unsure = sign > 0, sign == 0
+    ok[unsure] = _passes(family, owner[unsure], b[unsure], tol)
+    # runs of feasible cells: [cuts[first], cuts[last + 1]], snapped toward mids[first], mids[last]
+    feasible = np.zeros((C, mids.shape[1] + 2), dtype=bool)
+    feasible[owner, cell + 1] = ok
+    run, first = np.nonzero(feasible[:, 1:-1] & ~feasible[:, :-2])
+    _, last = np.nonzero(feasible[:, 1:-1] & ~feasible[:, 2:])
+    ends = np.concatenate((cuts[run, first], cuts[run, last + 1]))
+    toward = np.concatenate((mids[run, first], mids[run, last]))
+    at = _snap(family, np.tile(run, 2), ends, toward, tol)
+    intervals = [[] for _ in range(C)]
+    for c, lo, hi in zip(run.tolist(), at[:len(run)].tolist(), at[len(run):].tolist()):
+        intervals[c].append(BInterval(lo, hi))
     return [BIntervalSet(intervals=tuple(ivs), grid_step=grid_step, tol_b=tol_b)
             for ivs in intervals]
+
+
+def _snap(family: CubeFamily, rows: np.ndarray, ends: np.ndarray, toward: np.ndarray,
+          tol: float) -> np.ndarray:
+    """Each end moved toward its cell's midpoint, which passes, until ic_check's rule passes.
+
+    End r tries 1, 2, 4, ... ulps inward, never past toward[r]: one cube a round.
+    """
+    at = ends.copy()
+    step = np.spacing(np.maximum(np.abs(ends), np.abs(toward)))
+    todo = np.arange(len(at))
+    while todo.size:
+        todo = todo[(at[todo] != toward[todo]) & ~_passes(family, rows[todo], at[todo], tol)]
+        gap = toward[todo] - ends[todo]
+        at[todo] = np.where(np.abs(gap) > step[todo], ends[todo] + np.copysign(step[todo], gap),
+                            toward[todo])
+        step[todo] *= 2.0
+    return at
 
 
 def ic_region(config: SystemConfig, kind: Policy,
@@ -320,7 +292,8 @@ def social_benefit_region(config: SystemConfig, kind: Policy, baseline: Policy,
         raise ValueError(f"baseline must be a blind policy, got {baseline}")
     bs = _scan_grid(grid_step)
     family = CubeFamily([config], kind)
-    intervals = _scan_region([target - overall_curve(config, kind, bs) >= 0.0],
-                             lambda b, members: target - family.overall(members, b[:, None])[:, 0],
-                             bs, tol_b)[0]
+    intervals = _scan_region(target - overall_curve(config, kind, bs) >= 0.0,
+                             lambda b: target - family.overall(np.zeros(len(b), dtype=int),
+                                                               b[:, None])[:, 0],
+                             bs, tol_b)
     return BIntervalSet(intervals=tuple(intervals), grid_step=grid_step, tol_b=tol_b)

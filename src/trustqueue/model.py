@@ -195,20 +195,32 @@ def uniform_error_matrix(size_probs, grid: SizeGrid, error_rate: float) -> SizeE
     one of the n - 1 wrong grid values uniformly at random, independent of
     the true size.  Row marginals equal size_probs exactly.
     """
-    if not (0.0 <= error_rate <= 1.0):
-        raise ConfigError(f"error rate must be in [0, 1], got {error_rate}")
+    return SizeEstimateMatrix(_uniform_error(size_probs, grid, [error_rate])[0])
+
+
+def uniform_error_entries(size_probs, grid: SizeGrid, error_rates) -> np.ndarray:
+    """uniform_error_matrix(size_probs, grid, x).entries, bit for bit, stacked for each x."""
+    m = _uniform_error(size_probs, grid, error_rates)
+    return m / m.sum(axis=(1, 2))[:, None, None]
+
+
+def _uniform_error(size_probs, grid: SizeGrid, error_rates) -> np.ndarray:
+    """The unnormalized uniform-error matrices of error_rates, validated, stacked: (X, n, n)."""
+    xs = np.asarray(error_rates, dtype=float)
+    bad = ~((0.0 <= xs) & (xs <= 1.0))
+    if bad.any():
+        raise ConfigError(f"error rate must be in [0, 1], got {float(xs[bad][0])}")
     p = _as_distribution(size_probs)
     n = grid.n
     if len(p) != n:
         raise ConfigError(f"size distribution has {len(p)} entries for a {n}-point grid")
     if n == 1:
-        if error_rate > 0:
+        if (xs > 0).any():
             raise ConfigError("a 1-point grid has no wrong estimate to err to")
-        return SizeEstimateMatrix(np.array([[1.0]]))
-    off = error_rate / (n - 1)
-    m = np.outer(p, np.full(n, off))
-    np.fill_diagonal(m, p * (1.0 - error_rate))
-    return SizeEstimateMatrix(m)
+        return np.ones((len(xs), 1, 1))
+    m = p[:, None] * np.repeat((xs / (n - 1))[:, None, None], n, axis=2)
+    m[:, np.arange(n), np.arange(n)] = p * (1.0 - xs[:, None])
+    return m
 
 
 def diagonal_matrix(size_probs, grid: SizeGrid) -> SizeEstimateMatrix:

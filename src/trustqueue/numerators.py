@@ -1,51 +1,34 @@
-"""Signs of the incentive deltas, read from their polynomial numerators.
+"""Real roots of the polynomial numerators of the incentive deltas and of E[T]'.
 
-Region searches (incentives) only ever ask for the sign of a pair's
-delta_jk(b) + tol, and most of those signs are fixed by algebra.  m1 and
-m2 are linear in b, so (delta_jk(b) + tol) * prod_{ell=1..n} (1 -
-rho_ell(b)) is a polynomial of degree at most n + 1, and the product is
-positive on [0, 1].  One cube at n + 2 Chebyshev nodes (b = 0 and b = 1
-among them) interpolates it for every pair of a family.  A sign is read
-from the interpolant only where its value clears a margin of about 10^6
-rounding errors of the response times it is a difference of; there the
-delta the search would compute cannot have the other sign, so no verdict
-changes.  Inside the margin the caller computes the sign as before.
+m1 and m2 are linear in b, so each pair's (delta_jk(b) + tol) * prod_{ell=1..n}
+(1 - rho_ell(b)) is a polynomial of degree n + 1, positive product, whose
+real roots are the IC regions' endpoints; and E[T] * prod is a polynomial
+P, so E[T] = P / Q is stationary only at roots of D = P' Q - P Q', of
+degree 2 n.  One cube at Chebyshev nodes interpolates them.
 
-The same holds for the honest-equilibrium mean response: E[T](b) *
-prod_{ell=1..n} (1 - rho_ell(b)) is a polynomial P of degree at most
-n + 1, so E[T] = P / Q is stationary only at the real roots of D = P' Q -
-P Q', of degree at most 2 n.  stationary_points finds them from the
-Chebyshev coefficients of D, by the eigenvalues of colleague matrices.
+roots maps Chebyshev coefficients to Bernstein coefficients on [0, 1] with
+one fixed matrix.  By Descartes' rule a row with no sign variation has no
+root in (0, 1) and a row with one has exactly one, which Newton's method,
+kept inside its bracket, refines to full double precision; a row with more
+is split in halves by de Casteljau's algorithm.  A sign counts only beyond
+a margin of about 10^6 rounding errors of the terms it is a difference of:
+a coefficient inside it counts as a variation on both of its sides, and a
+piece whose coefficients all lie inside it is rounding noise and yields no
+root.  Every step is elementwise or a sum in a fixed order, so each row's
+roots have the bits they have in a family of one config.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+from math import comb, factorial
+
 import numpy as np
 from numpy.polynomial.chebyshev import chebder
 
-from .soap import CubeFamily
+from .soap import CubeFamily, estimate_means
 
-_KAPPA = 1e-9           # a numerator's sign counts beyond this share of its terms' size
-_SCAN_BLOCK = 1 << 16   # pair x grid-point values per scan product, 512 kB
-_TRIM = 1e-13           # a leading coefficient below this share of a row's largest is dropped
-_REAL = 1e-7            # an eigenvalue counts as a real root below this imaginary part
-
-
-def pair_deltas(family: CubeFamily, owner: np.ndarray, js: np.ndarray, ks: np.ndarray):
-    """(f, cols) for the pairs (j, k) = (js[r], ks[r]) of configs owner[r].
-
-    f(bs, r) gives delta[j][k] of the pairs r, each at its own b; cols[r]
-    holds pair r's weights over true sizes.
-    """
-    R = np.array([config.matrix.estimate_marginal for config in family.configs])
-    cols = family.entries[owner, :, js] / R[owner, js, None]    # pair weights over true sizes
-
-    def f(bs, r):
-        U = family.cube(owner[r], bs[:, None])
-        t = np.arange(len(r))
-        return np.vecdot(cols[r], U[t, :, ks[r], 0] - U[t, :, js[r], 0])
-
-    return f, cols
+_KAPPA = 1e-9           # a sign counts beyond this share of the size of the terms
 
 
 class Numerators:
@@ -53,118 +36,117 @@ class Numerators:
 
     Each interpolant is stored divided by its threshold: _KAPPA times the
     largest value, on the nodes, of (T_jk + T_jj + tol) times the product.
-    A sign counts where that quotient q lies outside [-1, 1].  The margin
-    scales with the response times, not with delta, because delta can be a
-    small difference of large times and its rounding is theirs.
+    A sign counts where that quotient lies outside [-1, 1]: the margin scales
+    with the times, as delta's rounding does.  rows[c] lists config c's
+    pairs, padded to one width by repeating its first pair.
     """
 
     def __init__(self, family: CubeFamily, tol: float):
         n = family.sizes.shape[1]
         defined = family.entries.sum(axis=1) > 0      # estimate classes with probability
         self.owner, self.js, self.ks = np.nonzero(defined[:, :, None] & ~np.eye(n, dtype=bool))
-        self.delta, cols = pair_deltas(family, self.owner, self.js, self.ks)
-        # each config's pairs, padded to one width by repeating its first pair
         count = np.bincount(self.owner, minlength=len(family))
         slots = np.arange(count.max(initial=0))
         self.rows = (np.cumsum(count) - count)[:, None] + np.minimum(slots, count[:, None] - 1)
-        self.degree = n + 1
         nodes = _lobatto(n + 2)
         U = family.cube(np.arange(len(family)), np.broadcast_to(nodes, (len(family), n + 2)))
-        Uk = U[self.owner, :, self.ks].transpose(0, 2, 1).copy()     # (pair, node, i)
-        Uj = U[self.owner, :, self.js].transpose(0, 2, 1).copy()
-        # f's own vecdot over the same contiguous rows, so f(0) and f(1) keep their bits
-        f = np.vecdot(cols[:, None], Uk - Uj) + tol
-        size = np.vecdot(cols[:, None], Uk + Uj)     # T_jk + T_jj
+        T = estimate_means(family.entries, U)
+        Tk, Tj = T[self.owner, self.js, self.ks], T[self.owner, self.js, self.js]
         product = _denominator(family, nodes)[self.owner]
-        self.f0, self.f1 = f[:, 0], f[:, -1]
-        threshold = _KAPPA * np.max((size + tol) * product, axis=1)
-        self.coef = _interpolate(f * product) / threshold[:, None]
+        threshold = _KAPPA * np.max((Tk + Tj + tol) * product, axis=1)
+        # delta + tol as ic_check's rule computes it, at each node
+        self.coef = _interpolate((Tk - Tj + tol) * product) / threshold[:, None]
 
     def sign(self, bs, r) -> np.ndarray:
-        """+1 or -1, the sign of pair r's f at bs[r] where certain, else 0."""
-        return _certain(np.vecdot(self.coef[r], _chebyshev(bs, self.degree)))
-
-    def boundary_sign(self, bs, members) -> np.ndarray:
-        """+1 or -1, the sign of config members[r]'s worst pair at bs[r] where certain, else 0.
-
-        A config is certainly infeasible where any pair is certainly
-        negative and certainly feasible where every pair is certainly
-        positive, so its smallest quotient decides.
-        """
-        q = np.vecdot(self.coef[self.rows[members]], _chebyshev(bs, self.degree)[:, None, :])
-        return _certain(q.min(axis=1, initial=np.inf))
-
-    def scan(self, bs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(ok, unsure): each config's feasibility on the grid bs, and the configs it leaves open.
-
-        ok[c] is exact where unsure[c] is False; a config is left open
-        where the smallest quotient of some grid point lies in [-1, 1].
-        """
-        configs, width = self.rows.shape
-        ok = np.empty((configs, len(bs)), dtype=bool)
-        unsure = np.empty(configs, dtype=bool)
-        chebyshev = np.ascontiguousarray(_chebyshev(bs, self.degree).T)
-        step = max(1, _SCAN_BLOCK // max(1, width * len(bs)))
-        for c in range(0, configs, step):
-            rows = self.rows[c:c + step]
-            # einsum, not @: a level-3 BLAS product makes OpenBLAS map its
-            # buffers and threads, about 1 MB of resident memory per process
-            q = np.einsum("rk,kg->rg", self.coef[rows.ravel()], chebyshev)
-            q = q.reshape(rows.shape + (len(bs),)).min(axis=1, initial=np.inf)
-            ok[c:c + step] = q > 1.0
-            unsure[c:c + step] = ~(ok[c:c + step] | (q < -1.0)).all(axis=1)
-        return ok, unsure
+        """+1 or -1, the sign of pair r's delta + tol at bs[r] where certain, else 0."""
+        return _certain(_value(self.coef[r].T, bs))
 
 
 def stationary_points(family: CubeFamily, rows: np.ndarray) -> np.ndarray:
-    """The real roots in [0, 1] of D = P' Q - P Q' of configs rows: shape (R, 2 n), NaN-padded.
+    """The real roots in (0, 1) of D = P' Q - P Q' of configs rows: shape (R, m), NaN-padded.
 
-    P = E[T] Q is interpolated from one cube at n + 2 nodes, and D, of
-    degree at most 2 n, from the values of P, Q and their derivatives at
-    2 n + 1 nodes.  Every stationary point of E[T] in [0, 1] is among the
-    roots; where E[T] does not depend on b, D is rounding noise and its
-    roots are arbitrary points of [0, 1].
+    P = E[T] Q is interpolated from one cube at n + 2 nodes, and D from the
+    values of P, Q and their derivatives at 2 n + 1 nodes.
     """
     n = family.sizes.shape[1]
     nodes = _lobatto(n + 2)
     Q = _denominator(family, nodes)[rows]
     p = _interpolate(family.overall(rows, np.broadcast_to(nodes, Q.shape)) * Q)
     q = _interpolate(Q)
-    T = _chebyshev(_lobatto(2 * n + 1), n + 1)
-
-    def at(coef):
-        return np.einsum("rk,mk->rm", coef, T[:, :coef.shape[1]])
-
-    dp, dq = chebder(p, axis=1), chebder(q, axis=1)
-    return _real_roots(_interpolate(at(dp) * at(q) - at(p) * at(dq)))
+    p, dp, q, dq = (_value(c.T[:, :, None], _lobatto(2 * n + 1))
+                    for c in (p, chebder(p, axis=1), q, chebder(q, axis=1)))
+    scale = _KAPPA * np.max(np.abs(dp * q) + np.abs(p * dq), axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):    # where E[T] is flat, D is 0 / 0
+        return roots(_interpolate(dp * q - p * dq) / scale[:, None], np.arange(len(rows)), len(rows))
 
 
-def _real_roots(coef: np.ndarray) -> np.ndarray:
-    """Each row's real roots in [0, 1] of its Chebyshev series in 2 b - 1, NaN-padded.
+def roots(coef: np.ndarray, group: np.ndarray, count: int) -> np.ndarray:
+    """The sign changes in (0, 1) of Chebyshev series coef[r] in 2 b - 1, scaled to the margin.
 
-    A row's degree is that of its last coefficient above _TRIM times its
-    largest, so no colleague matrix divides by zero.  The rows of one
-    degree share one stack of colleague matrices and one eigvals call.
+    Returns each of count groups' roots, of its rows group[r]: (count, m), sorted, NaN-padded.
     """
-    size = np.abs(coef)
-    big = size > _TRIM * size.max(axis=1, keepdims=True, initial=0.0)
-    degree = np.where(big.any(axis=1), coef.shape[1] - 1 - np.argmax(big[:, ::-1], axis=1), 0)
-    roots = np.full((len(coef), coef.shape[1] - 1), np.nan)
-    for d in np.unique(degree[degree > 0]):
-        rows = np.flatnonzero(degree == d)
-        c = coef[rows, :d + 1]
-        # x T_0 = T_1 and x T_k = (T_{k-1} + T_{k+1}) / 2; at a root, T_d is
-        # the combination of lower terms that makes the series vanish
-        A = np.zeros((len(rows), d, d))
-        A[:, np.arange(1, d), np.arange(d - 1)] = 0.5
-        A[:, np.arange(d - 1), np.arange(1, d)] = 0.5
-        if d > 1:
-            A[:, 0, 1] = 1.0
-        A[:, -1] -= c[:, :-1] / ((2.0 if d > 1 else 1.0) * c[:, -1:])
-        x = np.linalg.eigvals(A)
-        real = (np.abs(x.imag) <= _REAL) & (np.abs(x.real) <= 1.0)
-        roots[rows, :d] = np.where(real, 0.5 * (x.real + 1.0), np.nan)
-    return roots
+    row, lo, hi = np.arange(len(coef)), np.zeros(len(coef)), np.ones(len(coef))
+    bern = _dot(coef[:, None], _to_bernstein(coef.shape[1] - 1))
+    brackets = []
+    while not brackets or row.size:
+        s = _certain(bern)
+        variations = ((s[:, :-1] != s[:, 1:]) | (s[:, :-1] == 0)).sum(axis=1)
+        one = variations == 1
+        brackets.append((row[one], lo[one], hi[one]))
+        mid = 0.5 * (lo + hi)
+        split = (variations > 1) & (s != 0).any(axis=1) & (lo < mid) & (mid < hi)
+        left, right = _halves(bern[split])
+        row, bern = np.tile(row[split], 2), np.concatenate((left, right))
+        lo, hi = np.concatenate((lo[split], mid[split])), np.concatenate((mid[split], hi[split]))
+    row, lo, hi = (np.concatenate(a) for a in zip(*brackets))
+    root = _refine(coef[row], lo, hi)
+    found = ~np.isnan(root)
+    order = np.lexsort((root[found], group[row[found]]))
+    g, root = group[row[found]][order], root[found][order]
+    slot = np.arange(len(g)) - np.searchsorted(g, g)     # rank within its group
+    out = np.full((count, slot.max(initial=-1) + 1), np.nan)
+    out[g, slot] = root
+    return out
+
+
+def _refine(coef: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The sign change of series coef[r] in [lo[r], hi[r]], NaN where there is none.
+
+    Newton's method on all brackets together, a step that leaves its shrinking
+    bracket replaced by the midpoint.  A root is done when its step stands
+    still, when no double lies inside its bracket, or when its value lies
+    inside the margin and equals the last one: the series is flat to rounding.
+    """
+    coef = np.ascontiguousarray(coef.T)
+    slope = 2.0 * chebder(coef)         # d/db of a series in 2 b - 1
+    neg = _value(coef, lo) < 0
+    change = neg != (_value(coef, hi) < 0)
+    x, last = 0.5 * (lo + hi), np.full(len(lo), np.nan)
+    todo = np.flatnonzero(change)
+    while todo.size:
+        at = x[todo]
+        f = _value(coef[:, todo], at)
+        right = (f < 0) == neg[todo]        # the root lies right of x
+        lo[todo[right]] = at[right]
+        hi[todo[~right]] = at[~right]
+        a, b = lo[todo], hi[todo]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = at - f / _value(slope[:, todo], at)
+        step = np.where((a < newton) & (newton < b), newton, 0.5 * (a + b))
+        go = (newton != at) & ((f != last[todo]) | (np.abs(f) > 1.0)) & (a < step) & (step < b)
+        last[todo] = f
+        todo = todo[go]
+        x[todo] = step[go]
+    return np.where(change, x, np.nan)
+
+
+def _value(coef: np.ndarray, bs: np.ndarray) -> np.ndarray:
+    """Chebyshev series in 2 b - 1 at bs, coefficient k in coef[k], by Clenshaw's recurrence."""
+    y = 4.0 * bs - 2.0
+    b1 = b2 = 0.0
+    for c in coef[:0:-1]:
+        b1, b2 = c + y * b1 - b2, b1
+    return coef[0] + 0.5 * y * b1 - b2
 
 
 def _lobatto(count: int) -> np.ndarray:
@@ -172,26 +154,15 @@ def _lobatto(count: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(np.pi * np.arange(count) / (count - 1))
 
 
-def _chebyshev(bs, degree: int) -> np.ndarray:
-    """T_0 .. T_degree at 2 bs - 1, on a new last axis."""
-    x = 2.0 * np.asarray(bs) - 1.0
-    T = np.empty(x.shape + (degree + 1,))
-    T[..., 0] = 1.0
-    T[..., 1] = x
-    for m in range(2, degree + 1):
-        T[..., m] = 2.0 * x * T[..., m - 1] - T[..., m - 2]
-    return T
-
-
 def _interpolate(values: np.ndarray) -> np.ndarray:
     """Chebyshev coefficients of each row's polynomial through values at _lobatto nodes."""
-    count = values.shape[1]
-    # discrete orthogonality at Chebyshev-Lobatto points gives
-    # c_k = 2/(count-1) sum_m w_m w_k T_k(x_m) p(x_m), w = 1/2 at the ends
-    w = np.ones(count)
-    w[[0, -1]] = 0.5
-    to_coef = _chebyshev(_lobatto(count), count - 1) * np.outer(w, w) * (2.0 / (count - 1))
-    return np.einsum("rm,mk->rk", values, to_coef)     # no BLAS
+    N = values.shape[1] - 1
+    # discrete orthogonality at Chebyshev-Lobatto points, where T_k(2 b_m - 1) =
+    # (-1)^k cos(pi k m / N): c_k = 2/N sum_m w_m w_k T_k p(b_m), w = 1/2 at the ends
+    k = np.arange(N + 1)
+    w = np.where((k == 0) | (k == N), 0.5, 1.0)
+    to_coef = (-1.0) ** k[:, None] * np.cos(np.pi * np.outer(k, k) / N) * np.outer(w, w) * (2.0 / N)
+    return _dot(values[:, None], to_coef)
 
 
 def _denominator(family: CubeFamily, bs: np.ndarray) -> np.ndarray:
@@ -207,13 +178,30 @@ def _certain(q: np.ndarray) -> np.ndarray:
     return np.where(q > 1.0, 1.0, np.where(q < -1.0, -1.0, 0.0))
 
 
-def guided(sign, f):
-    """f(bs, r) for _bisect's sign tests: the signs sign(bs, r) gives, f itself where it gives 0."""
-    def g(bs, r):
-        out = sign(bs, r)
-        unsure = np.flatnonzero(out == 0.0)
-        if unsure.size:
-            out[unsure] = f(bs[unsure], r[unsure])
-        return out
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum over the last axis of a * b, term by term in order, so no row's bits depend on another's."""
+    out = a[..., 0] * b[..., 0]
+    for k in range(1, max(a.shape[-1], b.shape[-1])):
+        out = out + a[..., k] * b[..., k]
+    return out
 
-    return g
+
+@lru_cache(maxsize=16)
+def _to_bernstein(d: int) -> np.ndarray:
+    """K, exact then rounded: _dot(c, K) are the Bernstein coefficients of series c on [0, 1]."""
+    f = factorial
+    # T_k(2 b - 1) = sum_i power[k][i] b^i, and b^i = sum_{j >= i} C(j, i) / C(d, i) B_{j,d}(b)
+    power = [[1]] + [[(-1) ** (k - i) * k * f(k + i - 1) * 4**i // (f(k - i) * f(2 * i))
+                      for i in range(k + 1)] for k in range(1, d + 1)]
+    return np.array([[sum(comb(j, i) * a[i] * f(i) * f(d - i) for i in range(min(j, k) + 1)) / f(d)
+                      for k, a in enumerate(power)] for j in range(d + 1)])
+
+
+def _halves(bern: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """de Casteljau: each row's Bernstein coefficients on the left and right halves of its interval."""
+    left, right = [bern[:, 0]], [bern[:, -1]]
+    while bern.shape[1] > 1:
+        bern = 0.5 * (bern[:, :-1] + bern[:, 1:])
+        left.append(bern[:, 0])
+        right.append(bern[:, -1])
+    return np.column_stack(left), np.column_stack(right[::-1])

@@ -90,29 +90,39 @@ class CubeFamily:
     """
 
     def __init__(self, configs, kind: Policy):
-        _require_trust(kind)
-        self.configs = tuple(configs)
-        self.kind = kind
-        if len({config.n for config in self.configs}) != 1:
+        configs = tuple(configs)
+        if len({config.n for config in configs}) != 1:
             raise ValueError("a cube family needs at least one config, all of one size n")
-        self.lam = np.array([config.lam for config in self.configs], dtype=float)
-        self.sizes = np.array([config.sizes for config in self.configs])
-        self.entries = np.array([config.matrix.entries for config in self.configs])
+        self._build(kind, np.array([config.lam for config in configs], dtype=float),
+                    np.array([config.sizes for config in configs]),
+                    np.array([config.matrix.entries for config in configs]))
+
+    @classmethod
+    def from_arrays(cls, kind: Policy, lam: float, sizes, entries: np.ndarray) -> CubeFamily:
+        """The family of configs (lam, sizes, entries[c]), whose values are taken as valid."""
+        family = cls.__new__(cls)
+        family._build(kind, np.full(len(entries), float(lam)),
+                      np.broadcast_to(sizes, entries.shape[:2]), entries)
+        return family
+
+    def _build(self, kind: Policy, lam: np.ndarray, sizes: np.ndarray, entries: np.ndarray):
+        _require_trust(kind)
+        self.kind = kind
+        self.lam, self.sizes, self.entries = lam, sizes, entries
         policy = PolicySpec(kind)
-        tables = [rank_path_table(policy, z) for z in self.sizes]
-        final = np.array([final for _, final in tables])
-        self.final = final[0]
-        assert (final == self.final).all()
+        # one rank-path table per distinct size grid
+        grids, which = np.unique(sizes, axis=0, return_inverse=True)
+        tables = [rank_path_table(policy, z) for z in grids]
+        self.final = tables[0][1]
+        assert all((final == self.final).all() for _, final in tables)
         self.moved = np.nonzero(self.final[:, :, 0] != self.final[:, :, 1])
         # the spared and punished planes, each C-contiguous in (ell, i, k)
-        xle = np.array([xle for xle, _ in tables])
+        xle = np.array([xle for xle, _ in tables])[which.ravel()]
         v0, v1 = np.ascontiguousarray(xle.transpose(3, 0, 4, 1, 2))
-        M = self.entries
-        self.coeffs = (_rank_sums(M, v0), _rank_sums(M, v1 - v0),
-                       _rank_sums(M, v0**2), _rank_sums(M, v1**2 - v0**2))
+        self.coeffs = tuple(_rank_sums(entries, v) for v in (v0, v1 - v0, v0**2, v1**2 - v0**2))
 
     def __len__(self) -> int:
-        return len(self.configs)
+        return len(self.lam)
 
     def _cube(self, rows, bs: np.ndarray):
         """The cube formula for configs rows, row r at its own b values bs[r].
@@ -148,6 +158,20 @@ class CubeFamily:
     def overall(self, rows, bs: np.ndarray) -> np.ndarray:
         """overall_curve of configs rows, row r at its own b values bs[r]: shape (R, B)."""
         return np.einsum("rij,rijb->rb", self.entries[rows], self.cube(rows, bs))
+
+
+def estimate_means(M: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """T[..., j, k, t], the mean response of an estimate-j job declaring k.
+
+    M holds joint matrices (..., n, n) and U response planes (..., n, n, B).
+    The sum over true sizes runs in a fixed order, so each element rounds
+    as it would alone; rows whose estimate has zero probability are NaN.
+    """
+    T = M[..., 0, :, None, None] * U[..., 0, None, :, :]
+    for i in range(1, M.shape[-1]):
+        T = T + M[..., i, :, None, None] * U[..., i, None, :, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return T / M.sum(axis=-2)[..., None, None]
 
 
 def relevant_size_moments(config: SystemConfig, kind: Policy, b: float) -> MomentTable:

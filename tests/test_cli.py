@@ -111,6 +111,25 @@ def test_grid_step_outside_unit_interval_exits_1(argv, tmp_path, capsys):
     assert not out_csv.exists()
 
 
+@pytest.mark.parametrize("command", ["curve", "sweep"])
+@pytest.mark.parametrize("x_max", ["inf", "nan", "-1", "1.5"])
+def test_x_max_outside_unit_interval_exits_1(command, x_max, tmp_path, capsys):
+    out_csv = tmp_path / "out.csv"
+    code, out, err = run([command, "--x-step", "0.1", "--b-step", "0.05", f"--x-max={x_max}",
+                          "--out", str(out_csv)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: x max must be in [0, 1], got {float(x_max):g}\n"
+    assert not out_csv.exists()
+
+
+def test_ic_region_says_steps_leave_the_region_unchanged(capsys):
+    outputs = [run(["ic-region", "--preset", "three-class", "--policy", "bt"] + extra, capsys)[1]
+               for extra in ([], ["--b-step", "0.01", "--tol-b", "1e-3"])]
+    assert outputs[0].splitlines()[0] == outputs[1].splitlines()[0]
+    assert "--b-step 0.01 and --tol-b 0.001 do not change this region" in outputs[1]
+
+
 @pytest.mark.parametrize("policy", ["mt", "bt"])
 def test_ic_region_rejects_zero_b_step(policy, capsys):
     code, out, err = run(["ic-region", "--preset", "three-class", "--policy", policy,

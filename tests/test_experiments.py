@@ -10,15 +10,17 @@ from trustqueue.experiments import (CURVE_HEADER, SWEEP_HEADER, _best_b, _best_b
                                     optimal_b_curve, rare_long_job_example,
                                     sweep_region, three_class_example,
                                     write_curve_csv, write_sweep_csv)
+from conftest import random_config
 from trustqueue.incentives import _ic_regions, ic_check, ic_region
-from trustqueue.model import Policy, SizeGrid, SystemConfig, uniform_error_matrix
+from trustqueue.model import (ConfigError, MatrixNotNormalizedError, OverloadedError, Policy,
+                              SizeGrid, SystemConfig, uniform_error_entries, uniform_error_matrix)
 from trustqueue.soap import CubeFamily, overall_curve
 
 MT = Policy.MEASURED_TRUST
 BT = Policy.BLIND_TRUST
 
 # sha256 of the full-resolution four-class curve CSV (x step 0.005, b step 0.001)
-FULL_CURVE_SHA256 = "9fcfe732f9eece2059b3af23facb17782b4469fbc91a54b5e4c3ec8f0c462e4d"
+FULL_CURVE_SHA256 = "855a073afde3678d75cae79afc28d5607dc29e9a82dc8dd1edfe69200f0e5d44"
 # sha256 of the four-class sweep CSV (x step 0.01, b step 0.001: 101,101 rows)
 SWEEP_SHA256 = "f2cdb5311032838a35ba4ef5b9dfa04e50ff78b028eaca00bd843bb41a0337e0"
 
@@ -174,21 +176,88 @@ def test_sweep_csv_digest(tmp_path):
 
 
 def test_family_of_one_equals_member_of_whole_family():
-    # each config's search runs in lockstep with 200 others; none may leak into another
+    # each config's search runs in lockstep with 200 others; none may leak into
+    # another.  Each lone config is built as the benchmark's frontier check builds it.
     probs, grid, lam = four_class_family()
     xs = _grid(0.005)
-    rows = {row.x: row for row in optimal_b_curve(probs, grid, lam)}
-    configs = [four_class_example(float(x)) for x in xs]
+    rows = optimal_b_curve(probs, grid, lam)
+    entries = uniform_error_entries(probs, grid, xs)
     for kind, b_col, et_col in ((MT, "best_b_mt", "et_mt"), (BT, "best_b_bt", "et_bt")):
-        regions = _ic_regions(CubeFamily(configs, kind))
-        for x in (0.0, 0.05, 0.1, 0.17):
-            c = int(np.flatnonzero(xs == x)[0])
-            alone = ic_region(four_class_example(x), kind)
-            assert alone == regions[c]
-            best = _best_b(four_class_example(x), kind, b_step=1e-3, tol_b=1e-6)
-            row = rows[x]
+        regions = _ic_regions(CubeFamily.from_arrays(kind, lam, grid.sizes, entries))
+        for x, region, row in zip(xs, regions, rows):
+            config = SystemConfig(lam=lam, grid=grid,
+                                  matrix=uniform_error_matrix(probs, grid, float(x)))
+            assert ic_region(config, kind) == region, (kind, x)
+            best = _best_b(config, kind, b_step=1e-3, tol_b=1e-6)
             assert best == ((getattr(row, b_col), getattr(row, et_col))
-                            if getattr(row, b_col) is not None else None)
+                            if getattr(row, b_col) is not None else None), (kind, x)
+            if best is not None:
+                assert region.contains(best[0])
+
+
+def test_random_family_members_equal_lone_configs():
+    for n in range(1, 9):
+        configs = [random_config(300 * n + s, n_range=(n, n), max_load=0.98) for s in range(12)]
+        configs += _random_error_family(n, 12, seed=40 + n)
+        for kind in (MT, BT):
+            regions = _ic_regions(CubeFamily(configs, kind))
+            for config, region, best in zip(configs, regions,
+                                            _best_bs(CubeFamily(configs, kind), 1e-3, 1e-6)):
+                assert ic_region(config, kind) == region, (n, kind)
+                assert _best_b(config, kind, b_step=1e-3, tol_b=1e-6) == best, (n, kind)
+
+
+def test_error_entries_equal_uniform_error_matrices():
+    probs, grid, _ = four_class_family()
+    cases = [(probs, grid, _grid(0.005)), (probs, grid, np.linspace(0.0, 1.0, 37))]
+    rng = np.random.default_rng(11)
+    for n in range(2, 9):
+        for _ in range(5):
+            cases.append((rng.dirichlet(np.ones(n)), SizeGrid(np.cumsum(rng.uniform(0.2, 3.0, n))),
+                          np.concatenate(([0.0, 1.0], rng.uniform(0.0, 1.0, 30)))))
+    for probs, grid, xs in cases:
+        entries = uniform_error_entries(probs, grid, xs)
+        for x, m in zip(xs, entries):
+            matrix = uniform_error_matrix(probs, grid, float(x))
+            assert np.array_equal(m, matrix.entries)
+            assert np.array_equal(m.sum(axis=0), matrix.estimate_marginal)
+            assert np.array_equal(m.sum(axis=1), matrix.size_marginal)
+
+
+@pytest.mark.parametrize("probs, sizes, lam, xs, error, message", [
+    ([0.5, 0.5], [1.0, 2.0], 0.8, [0.0, 1.5], ConfigError, r"error rate must be in \[0, 1\], got 1.5"),
+    ([0.5, 0.5], [1.0, 2.0], 0.8, [float("nan")], ConfigError, "got nan"),
+    ([0.5, 0.6], [1.0, 2.0], 0.8, [0.1], MatrixNotNormalizedError, "probabilities sum to 1.1"),
+    ([0.5, 0.5], [1.0, 2.0, 3.0], 0.8, [0.1], ConfigError, "2 entries for a 3-point grid"),
+    ([1.0], [1.0], 0.5, [0.0, 0.1], ConfigError, "a 1-point grid has no wrong estimate"),
+])
+def test_error_entries_reject_what_uniform_error_matrix_rejects(probs, sizes, lam, xs, error,
+                                                                message):
+    grid = SizeGrid(sizes)
+    with pytest.raises(error, match=message):
+        uniform_error_entries(probs, grid, xs)
+    with pytest.raises(error, match=message):
+        for x in xs:
+            uniform_error_matrix(probs, grid, x)
+
+
+@pytest.mark.parametrize("probs, sizes, lam, x_max, error, message", [
+    ([0.5, 0.5], [1.0, 2.0], 0.8, 0.5, OverloadedError, "offered load rho = 1.2 >= 1"),
+    ([0.5, 0.6], [1.0, 2.0], 0.5, 0.5, MatrixNotNormalizedError, "probabilities sum to 1.1"),
+    ([1.0], [1.0], 0.5, 0.5, ConfigError, "a 1-point grid has no wrong estimate to err to"),
+    ([0.5, 0.5], [1.0, 2.0], 0.5, 1.5, ValueError, r"x max must be in \[0, 1\], got 1.5"),
+])
+def test_curve_rejects_invalid_inputs(probs, sizes, lam, x_max, error, message):
+    with pytest.raises(error, match=message):
+        optimal_b_curve(probs, SizeGrid(sizes), lam, x_step=0.25, b_step=0.05, x_max=x_max)
+
+
+@pytest.mark.parametrize("x_max", [float("inf"), float("nan"), -1.0, 1.5])
+def test_grids_reject_x_max_outside_unit_interval(x_max):
+    probs, grid, lam = four_class_family()
+    for build in (optimal_b_curve, sweep_region):
+        with pytest.raises(ValueError, match=r"x max must be in \[0, 1\]"):
+            build(probs, grid, lam, x_step=0.1, b_step=0.05, x_max=x_max)
 
 
 @pytest.mark.parametrize("tol_b", [0.0, -1.0, float("nan"), float("inf")])
@@ -233,7 +302,7 @@ def test_best_b_is_no_worse_than_a_dense_reference_scan():
     for n in range(1, 7):
         configs = _random_error_family(n, 6, seed=n)
         for kind in (MT, BT):
-            for config, best in zip(configs, _best_bs(configs, kind, 1e-3, 1e-6)):
+            for config, best in zip(configs, _best_bs(CubeFamily(configs, kind), 1e-3, 1e-6)):
                 _check_against_reference_scan(config, kind, best)
 
 

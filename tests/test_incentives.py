@@ -4,14 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_config
-from trustqueue import numerators
+from numpy.polynomial import chebyshev
+
 from trustqueue.experiments import (four_class_example, rare_long_job_example,
                                     three_class_example)
-from trustqueue.incentives import (DEFAULT_GRID, DEFAULT_TOL, UndefinedColumnError,
-                                   _ic_regions, _scan_grid, delta_grid, ic_check,
-                                   ic_indicator, ic_region, pair_threshold,
-                                   social_benefit_region)
-from trustqueue.numerators import Numerators, stationary_points
+from trustqueue.incentives import (DEFAULT_TOL, UndefinedColumnError, _ic_regions,
+                                   delta_grid, ic_check, ic_indicator, ic_region,
+                                   pair_threshold, social_benefit_region)
+from trustqueue.numerators import Numerators, roots, stationary_points
 from trustqueue.model import ConfigError, Policy, SizeGrid, diagonal_matrix, validate_config
 from trustqueue.soap import CubeFamily, fcfs_mean_response, overall_curve, response_cube
 
@@ -337,31 +337,95 @@ def _region_families():
 
 
 @pytest.mark.parametrize("kind", [MT, BT])
-def test_numerator_signs_leave_regions_unchanged(kind, monkeypatch):
-    guided = {(name, step): _ic_regions(CubeFamily(configs, kind), grid_step=step)
-              for name, configs, steps in _region_families() for step in steps}
-    # no margin is ever cleared: every sign comes from f, every grid is scanned with cubes
-    monkeypatch.setattr(numerators, "_KAPPA", np.inf)
-    for name, configs, steps in _region_families():
-        for step in steps:
-            assert _ic_regions(CubeFamily(configs, kind), grid_step=step) == guided[name, step], \
-                (name, step)
+def test_numerator_signs_leave_regions_unchanged(kind):
+    # a cell is decided by the numerators' signs wherever every pair's sign is
+    # certain; there the verdict must be ic_check's, so signs never change a region
+    decided = 0
+    for name, configs, _ in _region_families():
+        family = CubeFamily(configs, kind)
+        num = Numerators(family, DEFAULT_TOL)
+        regions = _ic_regions(family)
+        for c, (config, region) in enumerate(zip(configs, regions)):
+            ends = [b for iv in region.intervals for b in (iv.lo, iv.hi)]
+            bs = np.unique(np.clip(np.concatenate((np.linspace(0.0, 1.0, 21), ends,
+                                                   np.add.outer(ends, [-1e-7, 1e-7]).ravel())),
+                                   0.0, 1.0))
+            rows = np.unique(num.rows[c])
+            signs = num.sign(np.repeat(bs, len(rows)), np.tile(rows, len(bs))).reshape(len(bs), -1)
+            certain = (signs > 0).all(axis=1) | (signs < 0).any(axis=1)
+            decided += int(certain.sum())
+            verdict = ic_indicator(config, kind, bs)     # equal to ic_check at every b
+            assert np.array_equal(verdict[certain], (signs > 0).all(axis=1)[certain]), (name, c)
+    assert decided > 40_000
 
 
-def test_numerators_settle_the_four_class_scan():
-    # so the comparison above does compare two paths on this family
-    configs = [four_class_example(float(x)) for x in np.round(np.linspace(0.0, 1.0, 201), 12)]
-    _, unsure = Numerators(CubeFamily(configs, BT), DEFAULT_TOL).scan(_scan_grid(DEFAULT_GRID))
-    assert not unsure.any()
+def _region_endpoints(kind):
+    for name, configs, _ in _region_families():
+        for config, region in zip(configs, _ic_regions(CubeFamily(configs, kind))):
+            yield name, config, [b for iv in region.intervals for b in (iv.lo, iv.hi)]
 
 
 @pytest.mark.parametrize("kind", [MT, BT])
-def test_numerator_nodes_keep_pair_values_at_b_0_and_1(kind):
-    configs = [random_config(seed, n_range=(4, 4), max_load=0.98) for seed in range(12)]
-    num = Numerators(CubeFamily(configs, kind), DEFAULT_TOL)
-    every = np.arange(len(num.owner))
-    assert np.array_equal(num.f0, num.delta(np.zeros(len(every)), every) + DEFAULT_TOL)
-    assert np.array_equal(num.f1, num.delta(np.ones(len(every)), every) + DEFAULT_TOL)
+def test_every_region_endpoint_passes_the_strict_ic_check(kind):
+    count = 0
+    for name, config, ends in _region_endpoints(kind):
+        for b in ends:
+            count += 1
+            assert ic_check(config, kind, b).verdict, (name, b)
+    assert count > 500
+
+
+def test_measured_trust_pairs_cross_at_most_once():
+    for name, configs, _ in _region_families():
+        coef = Numerators(CubeFamily(configs, MT), DEFAULT_TOL).coef
+        assert roots(coef, np.arange(len(coef)), len(coef)).shape[1] <= 1, name
+
+
+def test_narrow_blind_trust_region_near_its_frontier():
+    # a grid scan with step 1e-3 misses this region; the numerator roots do not
+    config = four_class_example(0.1698)
+    region = ic_region(config, BT)
+    assert len(region.intervals) == 1
+    iv = region.intervals[0]
+    assert iv.lo == pytest.approx(0.399668, abs=1e-6)
+    assert iv.hi == pytest.approx(0.399823, abs=1e-6)
+    for b in (iv.lo, 0.5 * (iv.lo + iv.hi), iv.hi):
+        assert ic_check(config, BT, b).verdict
+    for b in (iv.lo - 1e-7, iv.hi + 1e-7):
+        assert not ic_check(config, BT, b).verdict
+
+
+def _roots_of(coef_rows):
+    """roots of each Chebyshev series (in 2 b - 1) given directly."""
+    coef = np.array(coef_rows, dtype=float)
+    return roots(coef, np.arange(len(coef)), len(coef))
+
+
+def _series(roots, scale=1e9, degree=5):
+    """Chebyshev coefficients in 2 b - 1 of scale * prod (b - r), padded to degree."""
+    x_roots = [2.0 * r - 1.0 for r in roots]
+    c = chebyshev.chebfromroots(x_roots) * scale
+    return np.pad(c, (0, degree + 1 - len(c)))
+
+
+def test_numerator_roots_split_rows_with_several_roots():
+    rows = [_series([0.2, 0.5, 0.9]), _series([0.1, 0.35, 0.6, 0.85]),
+            _series([0.3, 0.3 + 1e-4]), _series([0.5, 0.5]), _series([0.25]),
+            _series([1.5, -0.5]), _series([0.01, 0.99, 0.5, 0.7, 0.2])]
+    found = _roots_of(rows)
+    expect = [[0.2, 0.5, 0.9], [0.1, 0.35, 0.6, 0.85], [0.3, 0.3 + 1e-4], [], [0.25], [],
+              [0.01, 0.2, 0.5, 0.7, 0.99]]
+    for r, want in zip(found, expect):
+        got = r[~np.isnan(r)]
+        # a double root is a touch, not a sign change, and no root lies outside (0, 1)
+        assert len(got) == len(want)
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_numerator_roots_ignore_rounding_noise():
+    # coefficients within the margin: no sign is certain, so no root is claimed
+    rng = np.random.default_rng(3)
+    assert np.isnan(_roots_of(rng.uniform(-0.4, 0.4, (50, 6)))).all()
 
 
 @pytest.mark.parametrize("kind", [MT, BT])
@@ -373,9 +437,13 @@ def test_numerator_signs_agree_with_pair_deltas(kind):
         r = np.repeat(np.arange(len(num.owner)), 50)
         bs = rng.uniform(0.0, 1.0, len(r))
         sign = num.sign(bs, r)
+        delta = np.empty(len(r))
+        for c, config in enumerate(configs):
+            t = np.flatnonzero(num.owner[r] == c)
+            delta[t] = delta_grid(config, kind, bs[t])[num.js[r[t]], num.ks[r[t]], np.arange(len(t))]
         certain = sign != 0
         assert certain.mean() > 0.99
-        assert np.array_equal(sign[certain], np.sign(num.delta(bs, r) + DEFAULT_TOL)[certain])
+        assert np.array_equal(sign[certain], np.sign(delta + DEFAULT_TOL)[certain])
 
 
 @pytest.mark.parametrize("kind", [MT, BT])
