@@ -233,11 +233,9 @@ def _ic_regions(family: CubeFamily, grid_step: float = DEFAULT_GRID,
     mids = 0.5 * (cuts[:, :-1] + cuts[:, 1:])
     owner, cell = np.nonzero(~np.isnan(mids))
     b = mids[owner, cell]
-    # each cell's worst certain sign over its config's pairs
-    sign = np.ones(len(b))
-    for pairs in num.rows[owner].T:
-        sign = np.minimum(sign, num.sign(b, pairs))
-    ok, unsure = sign > 0, sign == 0
+    sign = np.ones(mids.shape)      # each cell's worst certain sign over its config's pairs
+    np.minimum.at(sign, num.owner, num.sign(mids[num.owner]))
+    ok, unsure = sign[owner, cell] > 0, sign[owner, cell] == 0
     ok[unsure] = _passes(family, owner[unsure], b[unsure], tol)
     # runs of feasible cells: [cuts[first], cuts[last + 1]], snapped toward mids[first], mids[last]
     feasible = np.zeros((C, mids.shape[1] + 2), dtype=bool)

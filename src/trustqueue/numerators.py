@@ -37,17 +37,13 @@ class Numerators:
     Each interpolant is stored divided by its threshold: _KAPPA times the
     largest value, on the nodes, of (T_jk + T_jj + tol) times the product.
     A sign counts where that quotient lies outside [-1, 1]: the margin scales
-    with the times, as delta's rounding does.  rows[c] lists config c's
-    pairs, padded to one width by repeating its first pair.
+    with the times, as delta's rounding does.  Pairs are ordered by config.
     """
 
     def __init__(self, family: CubeFamily, tol: float):
         n = family.sizes.shape[1]
         defined = family.entries.sum(axis=1) > 0      # estimate classes with probability
         self.owner, self.js, self.ks = np.nonzero(defined[:, :, None] & ~np.eye(n, dtype=bool))
-        count = np.bincount(self.owner, minlength=len(family))
-        slots = np.arange(count.max(initial=0))
-        self.rows = (np.cumsum(count) - count)[:, None] + np.minimum(slots, count[:, None] - 1)
         nodes = _lobatto(n + 2)
         U = family.cube(np.arange(len(family)), np.broadcast_to(nodes, (len(family), n + 2)))
         T = estimate_means(family.entries, U)
@@ -57,9 +53,9 @@ class Numerators:
         # delta + tol as ic_check's rule computes it, at each node
         self.coef = _interpolate((Tk - Tj + tol) * product) / threshold[:, None]
 
-    def sign(self, bs, r) -> np.ndarray:
-        """+1 or -1, the sign of pair r's delta + tol at bs[r] where certain, else 0."""
-        return _certain(_value(self.coef[r].T, bs))
+    def sign(self, bs: np.ndarray) -> np.ndarray:
+        """+1 or -1, the sign of pair r's delta + tol at each of bs[r, ...] where certain, else 0."""
+        return _certain(_value(self.coef.T.reshape(self.coef.shape[::-1] + (1,) * (bs.ndim - 1)), bs))
 
 
 def stationary_points(family: CubeFamily, rows: np.ndarray) -> np.ndarray:
@@ -119,9 +115,12 @@ def _refine(coef: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """
     coef = np.ascontiguousarray(coef.T)
     slope = 2.0 * chebder(coef)         # d/db of a series in 2 b - 1
-    neg = _value(coef, lo) < 0
-    change = neg != (_value(coef, hi) < 0)
-    x, last = 0.5 * (lo + hi), np.full(len(lo), np.nan)
+    f_lo, f_hi = _value(coef, lo), _value(coef, hi)
+    neg = f_lo < 0
+    change = neg != (f_hi < 0)
+    with np.errstate(divide="ignore", invalid="ignore"):   # start at the chord's root
+        x = np.clip(lo - f_lo * (hi - lo) / (f_hi - f_lo), lo, hi)
+    last = np.full(len(lo), np.nan)
     todo = np.flatnonzero(change)
     while todo.size:
         at = x[todo]

@@ -67,10 +67,11 @@ class MomentTable:
 def _rank_sums(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     """sum over (i, k) of M * v[..., ell, :, :], for every rank ell: shape (..., n+2).
 
-    M has shape (..., n, n) and v (..., n+2, n, n); each sum runs over one
-    contiguous row of n^2 products, so a batch sums as each member alone.
+    M has shape (..., n, n) and v (..., n+2, n, n), broadcast; each sum runs
+    over one contiguous row of n^2 products, so a batch sums as each member alone.
     """
-    return (M[..., None, :, :] * v).reshape(v.shape[:-2] + (-1,)).sum(axis=-1)
+    terms = M[..., None, :, :] * v
+    return terms.reshape(terms.shape[:-2] + (-1,)).sum(axis=-1)
 
 
 def _level_response(lam, m2, rho, size, w):
@@ -101,23 +102,21 @@ class CubeFamily:
     def from_arrays(cls, kind: Policy, lam: float, sizes, entries: np.ndarray) -> CubeFamily:
         """The family of configs (lam, sizes, entries[c]), whose values are taken as valid."""
         family = cls.__new__(cls)
-        family._build(kind, np.full(len(entries), float(lam)),
-                      np.broadcast_to(sizes, entries.shape[:2]), entries)
+        family._build(kind, np.full(len(entries), float(lam)), np.asarray(sizes)[None], entries)
         return family
 
     def _build(self, kind: Policy, lam: np.ndarray, sizes: np.ndarray, entries: np.ndarray):
+        """sizes holds each config's grid, or one grid that every config shares."""
         _require_trust(kind)
         self.kind = kind
-        self.lam, self.sizes, self.entries = lam, sizes, entries
+        self.lam, self.sizes, self.entries = lam, np.broadcast_to(sizes, entries.shape[:2]), entries
         policy = PolicySpec(kind)
-        # one rank-path table per distinct size grid
-        grids, which = np.unique(sizes, axis=0, return_inverse=True)
-        tables = [rank_path_table(policy, z) for z in grids]
+        tables = [rank_path_table(policy, z) for z in sizes]
         self.final = tables[0][1]
         assert all((final == self.final).all() for _, final in tables)
         self.moved = np.nonzero(self.final[:, :, 0] != self.final[:, :, 1])
         # the spared and punished planes, each C-contiguous in (ell, i, k)
-        xle = np.array([xle for xle, _ in tables])[which.ravel()]
+        xle = np.array([xle for xle, _ in tables])
         v0, v1 = np.ascontiguousarray(xle.transpose(3, 0, 4, 1, 2))
         self.coeffs = tuple(_rank_sums(entries, v) for v in (v0, v1 - v0, v0**2, v1**2 - v0**2))
 

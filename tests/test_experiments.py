@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 import reference
+from conftest import random_config
 from trustqueue.experiments import (CURVE_HEADER, SWEEP_HEADER, _best_b, _best_bs, _grid,
                                     four_class_example, four_class_family,
                                     optimal_b_curve, rare_long_job_example,
                                     sweep_region, three_class_example,
                                     write_curve_csv, write_sweep_csv)
-from conftest import random_config
 from trustqueue.incentives import _ic_regions, ic_check, ic_region
 from trustqueue.model import (ConfigError, MatrixNotNormalizedError, OverloadedError, Policy,
                               SizeGrid, SystemConfig, uniform_error_entries, uniform_error_matrix)

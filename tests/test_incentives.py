@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-from conftest import random_config
 from numpy.polynomial import chebyshev
 
+from conftest import random_config
 from trustqueue.experiments import (four_class_example, rare_long_job_example,
                                     three_class_example)
 from trustqueue.incentives import (DEFAULT_TOL, UndefinedColumnError, _ic_regions,
@@ -344,18 +343,18 @@ def test_numerator_signs_leave_regions_unchanged(kind):
     for name, configs, _ in _region_families():
         family = CubeFamily(configs, kind)
         num = Numerators(family, DEFAULT_TOL)
-        regions = _ic_regions(family)
-        for c, (config, region) in enumerate(zip(configs, regions)):
-            ends = [b for iv in region.intervals for b in (iv.lo, iv.hi)]
-            bs = np.unique(np.clip(np.concatenate((np.linspace(0.0, 1.0, 21), ends,
-                                                   np.add.outer(ends, [-1e-7, 1e-7]).ravel())),
-                                   0.0, 1.0))
-            rows = np.unique(num.rows[c])
-            signs = num.sign(np.repeat(bs, len(rows)), np.tile(rows, len(bs))).reshape(len(bs), -1)
-            certain = (signs > 0).all(axis=1) | (signs < 0).any(axis=1)
+        bs = np.full((len(configs), 61), np.nan)
+        for c, region in enumerate(_ic_regions(family)):
+            ends = [b for iv in region.intervals for b in (iv.lo, iv.hi)][:10]
+            near = np.clip(np.add.outer(ends, [-1e-7, 0.0, 1e-7]).ravel(), 0.0, 1.0)
+            bs[c, :21 + len(near)] = np.concatenate((np.linspace(0.0, 1.0, 21), near))
+        worst = np.ones(bs.shape)
+        np.minimum.at(worst, num.owner, num.sign(bs[num.owner]))
+        for c, config in enumerate(configs):
+            certain = worst[c] != 0
             decided += int(certain.sum())
-            verdict = ic_indicator(config, kind, bs)     # equal to ic_check at every b
-            assert np.array_equal(verdict[certain], (signs > 0).all(axis=1)[certain]), (name, c)
+            verdict = ic_indicator(config, kind, bs[c][certain])     # ic_check at every b
+            assert np.array_equal(verdict, worst[c][certain] > 0), (name, c)
     assert decided > 40_000
 
 
@@ -401,10 +400,9 @@ def _roots_of(coef_rows):
     return roots(coef, np.arange(len(coef)), len(coef))
 
 
-def _series(roots, scale=1e9, degree=5):
-    """Chebyshev coefficients in 2 b - 1 of scale * prod (b - r), padded to degree."""
-    x_roots = [2.0 * r - 1.0 for r in roots]
-    c = chebyshev.chebfromroots(x_roots) * scale
+def _series(zeros, scale=1e9, degree=5):
+    """Chebyshev coefficients in x = 2 b - 1 of scale * prod (x - (2 z - 1)), padded to degree."""
+    c = chebyshev.chebfromroots([2.0 * z - 1.0 for z in zeros]) * scale
     return np.pad(c, (0, degree + 1 - len(c)))
 
 
@@ -434,13 +432,13 @@ def test_numerator_signs_agree_with_pair_deltas(kind):
     for n in range(2, 9):
         configs = [random_config(1000 * n + s, n_range=(n, n), max_load=0.98) for s in range(4)]
         num = Numerators(CubeFamily(configs, kind), DEFAULT_TOL)
-        r = np.repeat(np.arange(len(num.owner)), 50)
-        bs = rng.uniform(0.0, 1.0, len(r))
-        sign = num.sign(bs, r)
-        delta = np.empty(len(r))
+        bs = rng.uniform(0.0, 1.0, (len(num.owner), 50))
+        sign = num.sign(bs)
+        delta = np.empty(bs.shape)
         for c, config in enumerate(configs):
-            t = np.flatnonzero(num.owner[r] == c)
-            delta[t] = delta_grid(config, kind, bs[t])[num.js[r[t]], num.ks[r[t]], np.arange(len(t))]
+            r = np.flatnonzero(num.owner == c)
+            d = delta_grid(config, kind, bs[r].ravel()).reshape(config.n, config.n, len(r), 50)
+            delta[r] = d[num.js[r], num.ks[r], np.arange(len(r))]
         certain = sign != 0
         assert certain.mean() > 0.99
         assert np.array_equal(sign[certain], np.sign(delta + DEFAULT_TOL)[certain])
