@@ -192,8 +192,10 @@ def _to_bernstein(d: int) -> np.ndarray:
     # T_k(2 b - 1) = sum_i power[k][i] b^i, and b^i = sum_{j >= i} C(j, i) / C(d, i) B_{j,d}(b)
     power = [[1]] + [[(-1) ** (k - i) * k * f(k + i - 1) * 4**i // (f(k - i) * f(2 * i))
                       for i in range(k + 1)] for k in range(1, d + 1)]
-    return np.array([[sum(comb(j, i) * a[i] * f(i) * f(d - i) for i in range(min(j, k) + 1)) / f(d)
-                      for k, a in enumerate(power)] for j in range(d + 1)])
+    K = np.array([[sum(comb(j, i) * a[i] * f(i) * f(d - i) for i in range(min(j, k) + 1)) / f(d)
+                   for k, a in enumerate(power)] for j in range(d + 1)])
+    K.flags.writeable = False       # shared by every caller through the cache
+    return K
 
 
 def _halves(bern: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
