@@ -54,8 +54,8 @@ class Numerators:
         self.coef = _interpolate((Tk - Tj + tol) * product) / threshold[:, None]
 
     def sign(self, bs: np.ndarray) -> np.ndarray:
-        """+1 or -1, the sign of pair r's delta + tol at each of bs[r, ...] where certain, else 0."""
-        return _certain(_value(self.coef.T.reshape(self.coef.shape[::-1] + (1,) * (bs.ndim - 1)), bs))
+        """+1 or -1, the sign of pair r's delta + tol at each bs[r, ...] where certain, else 0."""
+        return _certain(_value(np.expand_dims(self.coef.T, tuple(range(2, bs.ndim + 1))), bs))
 
 
 def stationary_points(family: CubeFamily, rows: np.ndarray) -> np.ndarray:
@@ -73,7 +73,7 @@ def stationary_points(family: CubeFamily, rows: np.ndarray) -> np.ndarray:
                     for c in (p, chebder(p, axis=1), q, chebder(q, axis=1)))
     scale = _KAPPA * np.max(np.abs(dp * q) + np.abs(p * dq), axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):    # where E[T] is flat, D is 0 / 0
-        return roots(_interpolate(dp * q - p * dq) / scale[:, None], np.arange(len(rows)), len(rows))
+        return roots(_interpolate(dp * q - p * dq) / scale[:, None], np.arange(len(Q)), len(Q))
 
 
 def roots(coef: np.ndarray, group: np.ndarray, count: int) -> np.ndarray:
@@ -178,7 +178,7 @@ def _certain(q: np.ndarray) -> np.ndarray:
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum over the last axis of a * b, term by term in order, so no row's bits depend on another's."""
+    """Sum over the last axis of a * b in a fixed order, so no row's bits depend on another's."""
     out = a[..., 0] * b[..., 0]
     for k in range(1, max(a.shape[-1], b.shape[-1])):
         out = out + a[..., k] * b[..., k]
@@ -199,7 +199,7 @@ def _to_bernstein(d: int) -> np.ndarray:
 
 
 def _halves(bern: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """de Casteljau: each row's Bernstein coefficients on the left and right halves of its interval."""
+    """de Casteljau: each row's Bernstein coefficients on the two halves of its interval."""
     left, right = [bern[:, 0]], [bern[:, -1]]
     while bern.shape[1] > 1:
         bern = 0.5 * (bern[:, :-1] + bern[:, 1:])

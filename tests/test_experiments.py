@@ -225,7 +225,7 @@ def test_error_entries_equal_uniform_error_matrices():
 
 
 @pytest.mark.parametrize("probs, sizes, lam, xs, error, message", [
-    ([0.5, 0.5], [1.0, 2.0], 0.8, [0.0, 1.5], ConfigError, r"error rate must be in \[0, 1\], got 1.5"),
+    ([0.5, 0.5], [1.0, 2.0], 0.8, [0.0, 1.5], ConfigError, r"rate must be in \[0, 1\], got 1.5"),
     ([0.5, 0.5], [1.0, 2.0], 0.8, [float("nan")], ConfigError, "got nan"),
     ([0.5, 0.6], [1.0, 2.0], 0.8, [0.1], MatrixNotNormalizedError, "probabilities sum to 1.1"),
     ([0.5, 0.5], [1.0, 2.0, 3.0], 0.8, [0.1], ConfigError, "2 entries for a 3-point grid"),
