@@ -11,10 +11,11 @@ Three presets ship built in so every analysis runs without external data:
   perfect estimates, lambda = 0.8 — a near-deterministic workload where
   BlindTrust needs punishment probabilities close to 1.
 
-The best-b curve solves all its error rates together, per policy: the
-regions of the whole family come from one region search, and E[T]'s
-stationary points from one node cube and its numerator's roots.  The
-candidates of every (error rate, interval) pair, its endpoints and the
+The best-b curve solves all its error rates together, per policy, over a
+CubeFamily built from the error matrices of every rate at once: the exact
+regions of the whole family come from its pairs' numerator roots, and
+E[T]'s stationary points from one node cube and its numerator's roots.
+The candidates of every (error rate, interval) pair, its endpoints and the
 stationary points inside it, are evaluated in one more cube.  Each pair's
 result is that of the pair alone, so the curve equals one built error
 rate by error rate.
