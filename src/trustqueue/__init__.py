@@ -12,7 +12,8 @@ from .model import (BadLambdaError, ConfigError, MatrixNotNormalizedError,
                     NegativeEntryError, NonIncreasingSizesError, OverloadedError,
                     Policy, PolicySpec, SizeEstimateMatrix, SizeGrid, SystemConfig,
                     diagonal_matrix, load_config, uniform_error_matrix, validate_config)
-from .sim import SimConfig, SimEstimate, SimResult, rank_boundaries, simulate
+from .ranks import rank_boundaries
+from .sim import SimConfig, SimEstimate, SimResult, simulate
 from .soap import (MomentTable, ResponseTable, fcfs_mean_response, mean_response_u,
                    overall_curve, rank_function, relevant_size_moments, response_table,
                    scf_mean_response)

@@ -95,7 +95,7 @@ def cmd_ic_region(args) -> int:
         spans = ", ".join(f"[{iv.lo:.4f}, {iv.hi:.4f}]" for iv in region.intervals)
         print(f"incentive compatible region: {spans}")
     print(f"  (exact endpoints: --b-step {region.grid_step:g} and --tol-b {region.tol_b:g} "
-          f"do not change this region, only the scans below)")
+          f"do not change this region or the ones below)")
     for baseline, sb in social:
         spans = ("empty" if sb.is_empty else
                  ", ".join(f"[{iv.lo:.4f}, {iv.hi:.4f}]" for iv in sb.intervals))

@@ -1,10 +1,12 @@
-"""Real roots of the polynomial numerators of the incentive deltas and of E[T]'.
+"""Real roots of the polynomial numerators of every b-search.
 
-m1 and m2 are linear in b, so each pair's (delta_jk(b) + tol) * prod_{ell=1..n}
-(1 - rho_ell(b)) is a polynomial of degree n + 1, positive product, whose
-real roots are the IC regions' endpoints; and E[T] * prod is a polynomial
-P, so E[T] = P / Q is stationary only at roots of D = P' Q - P Q', of
-degree 2 n.  One cube at Chebyshev nodes interpolates them.
+m1 and m2 are linear in b, so with the positive product prod_{ell=1..n}
+(1 - rho_ell(b)), each pair's (delta_jk(b) + tol) * prod and E[T] * prod = P
+are polynomials of degree n + 1.  Their real roots are the IC regions' and
+the pair thresholds' endpoints; (target - E[T]) * prod, whose roots end the
+social-benefit regions, is one too; and E[T] = P / Q is stationary only at
+roots of D = P' Q - P Q', of degree 2 n.  One cube at Chebyshev nodes
+interpolates them.
 
 roots maps Chebyshev coefficients to Bernstein coefficients on [0, 1] with
 one fixed matrix.  By Descartes' rule a row with no sign variation has no
@@ -53,9 +55,20 @@ class Numerators:
         # delta + tol as ic_check's rule computes it, at each node
         self.coef = _interpolate((Tk - Tj + tol) * product) / threshold[:, None]
 
-    def sign(self, bs: np.ndarray) -> np.ndarray:
-        """+1 or -1, the sign of pair r's delta + tol at each bs[r, ...] where certain, else 0."""
-        return _certain(_value(np.expand_dims(self.coef.T, tuple(range(2, bs.ndim + 1))), bs))
+
+def sign(coef: np.ndarray, bs: np.ndarray) -> np.ndarray:
+    """+1 or -1, the sign of series coef[r] at each bs[r, ...] where certain, else 0."""
+    return _certain(_value(np.expand_dims(coef.T, tuple(range(2, bs.ndim + 1))), bs))
+
+
+def benefit(family: CubeFamily, target: float) -> np.ndarray:
+    """Chebyshev interpolants of every config's (target - E[T]) * prod, scaled to the margin.
+
+    The margin is _KAPPA times the largest (target + E[T]) * prod on the nodes.
+    """
+    mean, product = _mean_at_nodes(family, np.arange(len(family)))
+    threshold = _KAPPA * np.max((target + mean) * product, axis=1)
+    return _interpolate((target - mean) * product) / threshold[:, None]
 
 
 def stationary_points(family: CubeFamily, rows: np.ndarray) -> np.ndarray:
@@ -65,9 +78,8 @@ def stationary_points(family: CubeFamily, rows: np.ndarray) -> np.ndarray:
     values of P, Q and their derivatives at 2 n + 1 nodes.
     """
     n = family.sizes.shape[1]
-    nodes = _lobatto(n + 2)
-    Q = _denominator(family, nodes)[rows]
-    p = _interpolate(family.overall(rows, np.broadcast_to(nodes, Q.shape)) * Q)
+    mean, Q = _mean_at_nodes(family, rows)
+    p = _interpolate(mean * Q)
     q = _interpolate(Q)
     p, dp, q, dq = (_value(c.T[:, :, None], _lobatto(2 * n + 1))
                     for c in (p, chebder(p, axis=1), q, chebder(q, axis=1)))
@@ -137,6 +149,13 @@ def _refine(coef: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         todo = todo[go]
         x[todo] = step[go]
     return np.where(change, x, np.nan)
+
+
+def _mean_at_nodes(family: CubeFamily, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """E[T] and prod (1 - rho) of configs rows at the n + 2 nodes: two (R, n + 2) arrays."""
+    nodes = _lobatto(family.sizes.shape[1] + 2)
+    product = _denominator(family, nodes)[rows]
+    return family.overall(rows, np.broadcast_to(nodes, product.shape)), product
 
 
 def _value(coef: np.ndarray, bs: np.ndarray) -> np.ndarray:

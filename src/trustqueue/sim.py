@@ -39,7 +39,7 @@ import numpy as np
 from scipy import stats
 
 from .model import Policy, PolicySpec, SystemConfig
-from .ranks import initial_rank, rank_boundaries, rank_path_table  # noqa: F401  (re-exported)
+from .ranks import rank_path_table
 
 _M64 = (1 << 64) - 1
 

@@ -231,22 +231,12 @@ class ResponseTable:
 
 def response_table(config: SystemConfig, kind: Policy, b: float) -> ResponseTable:
     check_punishment(b)
-    U3, Upun3, Uunp3 = response_cube(config, kind, np.array([b]))
-    U, Upun, Uunp = U3[:, :, 0], Upun3[:, :, 0], Uunp3[:, :, 0]
+    U, Upun, Uunp = response_cube(config, kind, np.array([b]))
     M = config.matrix.entries
-    R = config.matrix.estimate_marginal
-    n = config.n
-    T = np.full((n, n), np.nan)
-    undefined = []
-    for j in range(n):
-        if R[j] > 0:
-            T[j, :] = M[:, j] @ U / R[j]
-        else:
-            undefined.append(j)
-    overall = float((M * U).sum())  # sum_j R_j T_jj with honest declarations k = j
     return ResponseTable(
-        kind=kind, b=float(b), U=U, u_punished=Upun, u_unpunished=Uunp,
-        T=T, overall=overall, undefined_estimates=tuple(undefined),
+        kind=kind, b=float(b), U=U[:, :, 0], u_punished=Upun[:, :, 0], u_unpunished=Uunp[:, :, 0],
+        T=estimate_means(M, U)[:, :, 0], overall=float(overall_curve(config, kind, [b])[0]),
+        undefined_estimates=tuple(np.flatnonzero(M.sum(axis=0) == 0).tolist()),
     )
 
 

@@ -16,7 +16,8 @@ from heapq import heappop, heappush
 import numpy as np
 
 from trustqueue.model import Policy, PolicySpec
-from trustqueue.sim import initial_rank, mix64, rank_boundaries
+from trustqueue.ranks import initial_rank, rank_boundaries
+from trustqueue.sim import mix64
 
 
 def run_replication(args):

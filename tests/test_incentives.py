@@ -5,14 +5,15 @@ from hypothesis import strategies as st
 from numpy.polynomial import chebyshev
 
 from conftest import random_config
-from trustqueue.experiments import (four_class_example, rare_long_job_example,
+from trustqueue.experiments import (PRESETS, four_class_example, rare_long_job_example,
                                     three_class_example)
 from trustqueue.incentives import (DEFAULT_TOL, UndefinedColumnError, _ic_regions,
                                    delta_grid, ic_check, ic_indicator, ic_region,
                                    pair_threshold, social_benefit_region)
-from trustqueue.numerators import Numerators, roots, stationary_points
+from trustqueue.numerators import Numerators, roots, sign, stationary_points
 from trustqueue.model import ConfigError, Policy, SizeGrid, diagonal_matrix, validate_config
-from trustqueue.soap import CubeFamily, fcfs_mean_response, overall_curve, response_cube
+from trustqueue.soap import (CubeFamily, fcfs_mean_response, overall_curve, response_cube,
+                             scf_mean_response)
 
 MT = Policy.MEASURED_TRUST
 BT = Policy.BLIND_TRUST
@@ -59,7 +60,7 @@ def test_rare_long_job_region(rare_long_job):
 
 
 def _scalar_pair_scan(config, kind, j, k, tol_b=1e-6, grid_step=1e-3):
-    """pair_threshold's BlindTrust grid scan, one b and one bracket at a time."""
+    """An independent grid scan for delta[j][k]'s roots, one b and one bracket at a time."""
     col = config.matrix.entries[:, j] / config.matrix.estimate_marginal[j]
 
     def delta(b):
@@ -92,13 +93,29 @@ def _scalar_pair_scan(config, kind, j, k, tol_b=1e-6, grid_step=1e-3):
 
 def test_pair_threshold_blind_trust_matches_scalar_scan(three_class, rare_long_job):
     # the three-class BlindTrust region [0.2843, 0.2867] ends at the roots of
-    # two different pairs; (0, 2) has no root
+    # two different pairs; (0, 2) has no root.  MeasuredTrust runs the same cases.
     cases = [(three_class, 0, 1), (three_class, 2, 0), (three_class, 0, 2),
              (rare_long_job, 1, 0)]
-    for config, j, k in cases:
-        roots = pair_threshold(config, BT, j, k)
-        assert roots == _scalar_pair_scan(config, BT, j, k)
+    for kind in (BT, MT):
+        for config, j, k in cases:
+            roots = pair_threshold(config, kind, j, k)
+            scan = _scalar_pair_scan(config, kind, j, k)
+            assert len(roots) == len(scan), (kind, j, k)
+            for root, near in zip(roots, scan):
+                assert abs(root - near) <= 0.5e-6
+                if 0.0 < root < 1.0:     # an exact sign change of delta itself
+                    d = delta_grid(config, kind, [root - 1e-9, root + 1e-9])[j, k]
+                    assert (d[0] < 0) != (d[1] < 0), (kind, j, k, root, d)
+                else:
+                    assert delta_grid(config, kind, [root])[j, k, 0] == 0.0
     assert pair_threshold(three_class, BT, 0, 1)[0] > pair_threshold(three_class, BT, 2, 0)[0]
+
+
+def test_pair_threshold_reports_an_exact_zero_end_alone(rare_long_job):
+    # delta is exactly 0 at b = 0 here, and the numerator's root near it is
+    # that zero's rounding: the end is reported, the rounding is not
+    assert delta_grid(rare_long_job, MT, [0.0])[1, 0, 0] == 0.0
+    assert pair_threshold(rare_long_job, MT, 1, 0) == [0.0]
 
 
 def test_pair_threshold_argument_errors(three_class):
@@ -266,6 +283,21 @@ def test_social_benefit_vs_scf(three_class):
     assert region.intervals[0].lo == 0.0 and region.intervals[0].hi == 1.0
 
 
+@pytest.mark.parametrize("kind", [MT, BT])
+def test_every_social_benefit_endpoint_beats_its_baseline(kind):
+    configs = [build() for build in PRESETS.values()] + [four_class_example(0.1698)]
+    configs += [random_config(seed, n_range=(1, 8)) for seed in range(200)]
+    count = 0
+    for config in configs:
+        for baseline, target in ((Policy.FCFS, fcfs_mean_response(config)),
+                                 (Policy.SCF, scf_mean_response(config)[0])):
+            for iv in social_benefit_region(config, kind, baseline).intervals:
+                for b in (iv.lo, iv.hi):
+                    count += 1
+                    assert target - overall_curve(config, kind, [b])[0] >= 0, (baseline, b)
+    assert count > 400
+
+
 def test_delta_grid_undefined_column():
     entries = np.array([
         [0.40, 0.0, 0.06],
@@ -349,7 +381,7 @@ def test_numerator_signs_leave_regions_unchanged(kind):
             near = np.clip(np.add.outer(ends, [-1e-7, 0.0, 1e-7]).ravel(), 0.0, 1.0)
             bs[c, :21 + len(near)] = np.concatenate((np.linspace(0.0, 1.0, 21), near))
         worst = np.ones(bs.shape)
-        np.minimum.at(worst, num.owner, num.sign(bs[num.owner]))
+        np.minimum.at(worst, num.owner, sign(num.coef, bs[num.owner]))
         for c, config in enumerate(configs):
             certain = worst[c] != 0
             decided += int(certain.sum())
@@ -433,15 +465,15 @@ def test_numerator_signs_agree_with_pair_deltas(kind):
         configs = [random_config(1000 * n + s, n_range=(n, n), max_load=0.98) for s in range(4)]
         num = Numerators(CubeFamily(configs, kind), DEFAULT_TOL)
         bs = rng.uniform(0.0, 1.0, (len(num.owner), 50))
-        sign = num.sign(bs)
+        signs = sign(num.coef, bs)
         delta = np.empty(bs.shape)
         for c, config in enumerate(configs):
             r = np.flatnonzero(num.owner == c)
             d = delta_grid(config, kind, bs[r].ravel()).reshape(config.n, config.n, len(r), 50)
             delta[r] = d[num.js[r], num.ks[r], np.arange(len(r))]
-        certain = sign != 0
+        certain = signs != 0
         assert certain.mean() > 0.99
-        assert np.array_equal(sign[certain], np.sign(delta + DEFAULT_TOL)[certain])
+        assert np.array_equal(signs[certain], np.sign(delta + DEFAULT_TOL)[certain])
 
 
 @pytest.mark.parametrize("kind", [MT, BT])

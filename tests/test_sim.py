@@ -8,8 +8,8 @@ from event_sim import run_replication as event_replication
 from trustqueue.experiments import four_class_example, three_class_example
 from trustqueue.incentives import ic_region
 from trustqueue.model import Policy, PolicySpec, validate_config
-from trustqueue.sim import (SimConfig, _run_replication, mix64, rank_boundaries,
-                            rank_path_table, simulate)
+from trustqueue.ranks import rank_boundaries, rank_path_table
+from trustqueue.sim import SimConfig, _run_replication, mix64, simulate
 from trustqueue.soap import (fcfs_mean_response, response_table, scf_mean_response)
 
 MT = Policy.MEASURED_TRUST

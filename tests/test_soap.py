@@ -8,8 +8,8 @@ from conftest import random_config
 from trustqueue import rank_boundaries
 from trustqueue.model import (ConfigError, Policy, PolicySpec, SizeGrid, diagonal_matrix,
                              validate_config)
-from trustqueue.soap import (CubeFamily, fcfs_mean_response, mean_response_u, overall_curve,
-                             rank_function, relevant_size_moments, response_cube,
+from trustqueue.soap import (CubeFamily, estimate_means, fcfs_mean_response, mean_response_u,
+                             overall_curve, rank_function, relevant_size_moments, response_cube,
                              response_table, scf_mean_response)
 
 MT = Policy.MEASURED_TRUST
@@ -295,6 +295,20 @@ def test_response_table_overall_consistent(three_class):
                                           rel=1e-12)
     curve = overall_curve(three_class, MT, [0.3])
     assert curve[0] == pytest.approx(table.overall, rel=1e-12)
+
+
+def test_response_table_equals_what_the_verdicts_decide_on():
+    # analyze prints T and overall: they must be the numbers ic_check and the curve use
+    rng = np.random.default_rng(11)
+    for seed in range(200):
+        config = random_config(seed, n_range=(1, 8))
+        for kind in (MT, BT):
+            for b in (0.0, 1.0, float(rng.uniform())):
+                table = response_table(config, kind, b)
+                U = response_cube(config, kind, [b])[0]
+                assert np.array_equal(table.T, estimate_means(config.matrix.entries, U)[:, :, 0],
+                                      equal_nan=True), (seed, kind, b)
+                assert table.overall == overall_curve(config, kind, [b])[0], (seed, kind, b)
 
 
 def test_zero_probability_estimate_column():
