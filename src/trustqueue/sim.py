@@ -5,23 +5,21 @@ arrival time, and a job's rank only rises with its own age.  So a job J
 with final rank w completes exactly when three amounts of work are done:
 its own size, the work at ranks <= w that other jobs hold when J arrives,
 and the work at ranks < w brought by later arrivals before J completes.
-For each final rank level that occurs, the first amount is a Lindley
-recursion over arrivals (a cumulative sum reflected at zero) and the
-completion time is a first passage found with a running maximum and one
-binary search.  A replication is a few numpy passes per level; the result
-equals the discrete-event simulation on the same draws job by job, up to
-rounding (tests/event_sim.py keeps that event loop as the reference).
+The second and the completion time take one scan per rank level ell:
+with C the cumulative work at ranks <= ell, the running maximum of
+a_{k+1} - C[k] gives level ell's Lindley backlog at each arrival and level
+ell + 1's first-passage curve, which one binary search per job reads.  The
+result equals the discrete-event simulation on the same draws job by job,
+up to rounding (tests/event_sim.py keeps that event loop as the reference).
 
-The rank paths are defined once, in ranks: each job's work at ranks <= w
-and its final rank w are read from ranks.rank_path_table, the table
-soap's closed forms are built on too.
+Each job's work at ranks <= w and final rank w come from
+ranks.rank_path_table, the table soap's closed forms read too.
 
-Replications run on ``workers`` threads.  A replication spends most of
-its time in long numpy passes (the random draws, cumulative sums, running
-minima and maxima, gathers and binary searches), which release the GIL,
-so threads overlap them without starting processes or pickling arguments
-and results.  Each replication has its own seeded generator and shares no
-mutable state, so the result does not depend on the number of workers.
+Replications are dealt round-robin to ``workers`` threads, whose numpy
+passes release the GIL.  Each thread writes every replication it runs into
+one set of job-length buffers, so replications fault in few fresh pages.
+Each replication has its own seeded generator and results return in
+replication order, so the result does not depend on the number of workers.
 
 Honest jobs declare their internal estimate.  Sparse probe jobs declare a
 uniformly random class instead, estimating the deviation response times
@@ -34,14 +32,16 @@ import csv
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
-from scipy import stats
 
 from .model import Policy, PolicySpec, SystemConfig
 from .ranks import rank_path_table
 
 _M64 = (1 << 64) - 1
+# indices here are always in range; np.take's default mode would copy ``out``
+_take = partial(np.take, mode="clip")
 
 
 def mix64(x: int) -> int:
@@ -97,108 +97,123 @@ class SimResult:
     dropped_cells: tuple[tuple[int, int], ...] = ()
 
 
-def _run_replication(args):
-    (z, M, lam, kind_value, b, job_count, warm_frac, probe_p, seed, capture) = args
-    policy = PolicySpec(Policy(kind_value), b)
+def _workspace(job_count: int) -> dict:
+    """One thread's job-length buffers; every replication it runs overwrites all of them."""
+    ws = {key: np.empty(job_count) for key in "a u s t resp c0 c1".split()}
+    ws.update({key: np.empty(job_count + 1) for key in ("r0", "r1")})
+    ws.update({key: np.empty(job_count, np.intp) for key in "i j k path final".split()})
+    ws.update({key: np.empty(job_count, bool) for key in "coin probe mask".split()})
+    return ws
+
+
+def _run_replication(args, ws=None):
+    (z, M, lam, kind_value, b, N, warm_frac, probe_p, seed, capture) = args
     n = len(z)
+    ws = _workspace(N) if ws is None else ws
+    a, u, s, t, resp, i, j, k, path, coin, probe, mask = map(
+        ws.get, "a u s t resp i j k path coin probe mask".split())
     rng = np.random.default_rng(mix64(seed))
 
-    arrivals_np = np.cumsum(rng.exponential(1.0 / lam, job_count))
-    flat = (M / M.sum()).ravel()
-    cells = rng.choice(n * n, size=job_count, p=flat)
-    i_np = cells // n
-    j_np = cells % n
-    coin_np = rng.random(job_count) < b
-    probe_np = rng.random(job_count) < probe_p
-    k_np = np.where(probe_np, rng.integers(0, n, job_count), j_np)
-    del cells
+    # rng.exponential, rng.choice and rng.random's draws, bit for bit, in place
+    rng.standard_exponential(out=a)
+    a *= 1.0 / lam
+    np.cumsum(a, out=a)
+    cdf = (M / M.sum()).ravel().cumsum()
+    cdf /= cdf[-1]
+    rng.random(out=u)
+    np.divmod(cdf.searchsorted(u, side="right"), n, out=(i, j))
+    rng.random(out=u)
+    np.less(u, b, out=coin)
+    rng.random(out=u)
+    np.less(u, probe_p, out=probe)
+    np.copyto(k, j)
+    np.copyto(k, rng.integers(0, n, N), where=probe)
 
-    xle, final = rank_path_table(policy, z)
-    path = (i_np * n + k_np) * 2 + coin_np      # each job's row of the flattened table
+    xle, final = rank_path_table(PolicySpec(Policy(kind_value), b), z)
+    np.multiply(i, n, out=path)
+    path += k
+    path *= 2
+    path += coin                                # each job's row of the flattened table
     xle = np.ascontiguousarray(xle.reshape(n * n * 2, n + 2).T)
-    final = final.ravel().take(path)
-    sizes = z.take(i_np)
-    gaps = np.diff(arrivals_np)
-    next_arrival = np.append(arrivals_np[1:], np.inf)
+    final = _take(final.ravel(), path, out=ws["final"])
 
-    # A job J with final rank w completes once its own size, the work at
-    # ranks <= w that others hold when J arrives, and the work at ranks < w
-    # of later arrivals are done; the server is busy throughout.
-    resp = np.empty(job_count)
-    for w in np.flatnonzero(np.bincount(final)):
-        jobs = np.flatnonzero(final == w)
-        # <= w backlog found by each arrival: Lindley's recursion as a
-        # cumulative sum reflected at zero
-        s = np.cumsum(xle[w].take(path[:-1]) - gaps)
-        s -= np.minimum.accumulate(np.minimum(s, 0.0))
-        work = sizes[jobs] + np.concatenate(([0.0], s))[jobs]
-        # completion is the first passage of t - (< w work arrived by t)
-        # over arrival + work; G is the running max of that gap just before
-        # each next arrival
-        X = np.cumsum(xle[w - 1].take(path))
-        G = np.maximum.accumulate(next_arrival - X)
-        last = np.searchsorted(G, arrivals_np[jobs] + work - X[jobs], side="left")
-        # the backlog keeps every earlier gap below a job's target, so the
-        # search never lands before the job itself; the clamp is a guard
-        resp[jobs] = work + (X[np.maximum(last, jobs)] - X[jobs])
-    del xle, path, final, gaps, next_arrival
+    # Level ell: C = cumsum of the work at ranks <= ell, R = running max of
+    # E = (a_0, a_1 - C[0], ..., a_{N-1} - C[N-2], inf).  Arrival k finds
+    # the <= ell backlog R[k] - E[k].  A job J of final rank w > 1 completes
+    # at the first m with R_{w-1}[m + 1] >= a_J + work - C_{w-1}[J].
+    c, r, x, rx = ws["c0"], ws["r0"], ws["c1"], ws["r1"]
+    for ell in range(1, final.max() + 1):
+        c, r, x, rx = x, rx, c, r               # x, rx: level ell - 1's C and R
+        jobs = np.flatnonzero(np.equal(final, ell, out=mask))
+        work, e, g = s[:len(jobs)], t[:len(jobs)], u[:len(jobs)]
+        _take(xle[ell], path, out=c)
+        _take(c, jobs, out=work)    # all of a job's work is at ranks <= its final rank
+        np.cumsum(c, out=c)
+        r[0], r[N] = a[0], np.inf
+        np.subtract(a[1:], c[:-1], out=r[1:N])
+        _take(r, jobs, out=e)
+        np.maximum.accumulate(r, out=r)
+        _take(r, jobs, out=g)
+        g -= e
+        work += g
+        if ell > 1:
+            _take(a, jobs, out=e)
+            e += work
+            _take(x, jobs, out=g)
+            e -= g
+            last = np.searchsorted(rx[1:], e)
+            # a guard: the backlog keeps the search from landing before the job
+            np.maximum(last, jobs, out=last)
+            _take(x, last, out=e)
+            e -= g
+            work += e
+        resp[jobs] = work
 
-    warm_n = int(job_count * warm_frac)
-    rec = slice(warm_n, None)
-    completion = arrivals_np + resp
-    t_start = arrivals_np[warm_n]
-    t_end = float(completion.max())
+    warm_n = int(N * warm_frac)
+    completion = np.add(a, resp, out=ws["c0"])
+    t_start = a[warm_n]
     # time-integral of the number in system over [t_start, t_end]
-    area = float(np.maximum(completion - np.maximum(arrivals_np, t_start), 0.0).sum())
-
-    r_resp = resp[rec]
-    honest = ~probe_np[rec]
-    probe = ~honest
-    class_cnt = np.bincount(j_np[rec][honest], minlength=n)
-    class_sum = np.bincount(j_np[rec][honest], weights=r_resp[honest], minlength=n)
-    cell_idx = (i_np[rec] * n + k_np[rec])[probe]
-    cell_cnt = np.bincount(cell_idx, minlength=n * n).reshape(n, n)
-    cell_sum = np.bincount(cell_idx, weights=r_resp[probe], minlength=n * n).reshape(n, n)
+    np.maximum(a, t_start, out=s)
+    np.subtract(completion, s, out=s)
+    area = float(np.maximum(s, 0.0, out=s).sum())
+    # honest jobs count in bin j, probe jobs in bin n + i * n + k
+    bins = np.multiply(i, n, out=path)
+    bins += k
+    bins += n
+    np.copyto(bins, j, where=np.logical_not(probe, out=mask))
+    cnt = np.bincount(bins[warm_n:], minlength=n + n * n)
+    tot = np.bincount(bins[warm_n:], weights=resp[warm_n:], minlength=n + n * n)
 
     trace = None
     if capture:
-        order = warm_n + np.argsort(completion[rec], kind="stable")
-        trace = list(zip(arrivals_np[order].tolist(), i_np[order].tolist(),
-                         j_np[order].tolist(), k_np[order].tolist(),
-                         coin_np[order].tolist(), probe_np[order].tolist(),
-                         resp[order].tolist()))
+        order = warm_n + np.argsort(completion[warm_n:], kind="stable")
+        trace = list(zip(*(v[order].tolist() for v in (a, i, j, k, coin, probe, resp))))
     return {
-        "sum_resp": float(class_sum.sum()),
-        "n_resp": int(class_cnt.sum()),
-        "class_sum": class_sum.tolist(),
-        "class_cnt": class_cnt.tolist(),
-        "cell_sum": cell_sum.tolist(),
-        "cell_cnt": cell_cnt.tolist(),
+        "sum_resp": float(tot[:n].sum()),
+        "n_resp": int(cnt[:n].sum()),
+        "class_sum": tot[:n].tolist(),
+        "class_cnt": cnt[:n].tolist(),
+        "cell_sum": tot[n:].reshape(n, n).tolist(),
+        "cell_cnt": cnt[n:].reshape(n, n).tolist(),
         "area": area,
-        "window": t_end - float(t_start),
-        "arrived_in_window": job_count - warm_n,
+        "window": float(completion.max()) - float(t_start),
+        "arrived_in_window": N - warm_n,
         "trace": trace,
     }
 
 
-def _combine(values, t975: np.ndarray) -> SimEstimate:
-    """Mean over replications and its 95% CI half-width; t975[r - 2] is the t quantile for r."""
+def _combine(values, t975: np.ndarray, count: int | None = None) -> SimEstimate:
+    """Mean over r replications, its 95% CI half-width (t975[r - 2] is the t
+    quantile for r) and ``count``, by default r."""
     arr = np.asarray(list(values), dtype=float)
     r = len(arr)
-    mean = float(arr.mean())
-    if r < 2:
-        return SimEstimate(mean, float("inf"), r)
-    half = float(t975[r - 2] * arr.std(ddof=1) / np.sqrt(r))
-    return SimEstimate(mean, half, r)
+    half = float(t975[r - 2] * arr.std(ddof=1) / np.sqrt(r)) if r > 1 else float("inf")
+    return SimEstimate(float(arr.mean()), half, r if count is None else count)
 
 
 def simulate(config: SystemConfig, policy: PolicySpec, sim: SimConfig,
              workers: int = 1, trace_path=None) -> SimResult:
-    """Run independent replications on ``workers`` threads; combine them into 95% CI estimates.
-
-    Threads suffice because a replication spends its time in numpy passes
-    that release the GIL; the result is the same for every worker count.
-    """
+    """Run independent replications on ``workers`` threads; combine them into 95% CI estimates."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     if config.load >= 0.98 and sim.job_count < 100_000:
@@ -215,39 +230,38 @@ def simulate(config: SystemConfig, policy: PolicySpec, sim: SimConfig,
          trace_path is not None)
         for rep in range(sim.replications)
     ]
-    if workers > 1 and sim.replications > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reps = list(pool.map(_run_replication, args))
-    else:
-        reps = [_run_replication(a) for a in args]
+
+    def run(share):                 # one thread's replications, on one workspace
+        ws = _workspace(sim.job_count)
+        return [_run_replication(a, ws) for a in share]
+    shares = [args[w::workers] for w in range(min(workers, len(args)))]
+    with ThreadPoolExecutor(max_workers=len(shares)) as pool:
+        parts = list(pool.map(run, shares))
+    reps = [None] * len(args)
+    for w, part in enumerate(parts):
+        reps[w::len(parts)] = part
 
     if any(r["n_resp"] == 0 for r in reps):
         raise ValueError("a replication recorded no honest job after warm-up; "
                          "use more jobs or a lower probe probability")
+    from scipy import stats         # imported here: no other module needs scipy
+
     # the t quantiles for 2..replications replications, computed once
     t975 = stats.t.ppf(0.975, np.arange(1, max(sim.replications, 2)))
-    est = _combine((r["sum_resp"] / r["n_resp"] for r in reps), t975)
-    overall = SimEstimate(est.mean, est.half_width95, sum(r["n_resp"] for r in reps))
-    per_class, dropped_classes = {}, []
-    for j in range(n):
-        means = [r["class_sum"][j] / r["class_cnt"][j] for r in reps if r["class_cnt"][j] > 0]
-        if len(means) == len(reps):
-            est = _combine(means, t975)
-            per_class[j] = SimEstimate(est.mean, est.half_width95,
-                                       sum(r["class_cnt"][j] for r in reps))
-        elif means:
-            dropped_classes.append(j)
-    per_cell, dropped_cells = {}, []
-    for i in range(n):
-        for k in range(n):
-            means = [r["cell_sum"][i][k] / r["cell_cnt"][i][k]
-                     for r in reps if r["cell_cnt"][i][k] > 0]
-            if len(means) == len(reps):
-                est = _combine(means, t975)
-                per_cell[(i, k)] = SimEstimate(est.mean, est.half_width95,
-                                               sum(r["cell_cnt"][i][k] for r in reps))
-            elif means:
-                dropped_cells.append((i, k))
+    overall = _combine((r["sum_resp"] / r["n_resp"] for r in reps), t975,
+                       sum(r["n_resp"] for r in reps))
+    # classes j, then cells (i, k): estimated if all replications see one, dropped if some do
+    entries = [*range(n), *((i, k) for i in range(n) for k in range(n))]
+    sums = [r["class_sum"] + sum(r["cell_sum"], []) for r in reps]
+    cnts = [r["class_cnt"] + sum(r["cell_cnt"], []) for r in reps]
+    found, dropped = ({}, {}), ([], [])
+    for e, key in enumerate(entries):
+        seen = [c[e] for c in cnts]
+        if all(seen):
+            found[e >= n][key] = _combine([s[e] / c[e] for s, c in zip(sums, cnts)],
+                                          t975, sum(seen))
+        elif any(seen):
+            dropped[e >= n].append(key)
     time_avg = _combine((r["area"] / r["window"] for r in reps if r["window"] > 0), t975)
     rate = float(np.mean([r["arrived_in_window"] / r["window"] for r in reps if r["window"] > 0]))
 
@@ -259,6 +273,6 @@ def simulate(config: SystemConfig, policy: PolicySpec, sim: SimConfig,
             for row in reps[0]["trace"]:
                 w.writerow([f"{row[0]:.9g}", row[1], row[2], row[3],
                             int(row[4]), int(row[5]), f"{row[6]:.9g}"])
-    return SimResult(overall=overall, per_cell=per_cell, per_class=per_class,
+    return SimResult(overall=overall, per_cell=found[1], per_class=found[0],
                      time_avg_in_system=time_avg, arrival_rate_measured=rate,
-                     dropped_classes=tuple(dropped_classes), dropped_cells=tuple(dropped_cells))
+                     dropped_classes=tuple(dropped[0]), dropped_cells=tuple(dropped[1]))

@@ -1,6 +1,9 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -17,6 +20,13 @@ def run(args, capsys):
     code = main(args)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    # only simulate needs scipy, whose import takes about a second
+    code = "import sys, trustqueue.cli; sys.exit('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
 def test_analyze_preset(capsys):

@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from trustqueue.experiments import four_class_example, three_class_example
 from trustqueue.incentives import ic_region
 from trustqueue.model import Policy, PolicySpec, validate_config
 from trustqueue.ranks import rank_boundaries, rank_path_table
-from trustqueue.sim import SimConfig, _run_replication, mix64, simulate
+from trustqueue.sim import SimConfig, _run_replication, _workspace, mix64, simulate
 from trustqueue.soap import (fcfs_mean_response, response_table, scf_mean_response)
 
 MT = Policy.MEASURED_TRUST
@@ -168,6 +169,9 @@ def test_whole_result_independent_of_worker_count(three_class, policy):
     assert len(results[0].per_cell) == 9 and not results[0].dropped_cells
     assert results[1] == results[0]
     assert results[2] == results[0]
+    # ten replications dealt unevenly: threads run 4, 3 and 3 of them
+    ten = replace(sim_cfg, replications=10)
+    assert simulate(three_class, policy, ten, workers=3) == simulate(three_class, policy, ten)
 
 
 @pytest.mark.parametrize("workers", [0, -3])
@@ -234,6 +238,61 @@ def test_replication_matches_event_loop_on_random_configs(c):
     for kind in Policy:
         _assert_matches_event_loop(
             _replication_args(config, PolicySpec(kind, b), 3_000, 100 + c, 0.02))
+    # b = 0 leaves the punishment level empty, b = 1 punishes every overrun
+    for kind in (MT, BT):
+        for edge in (0.0, 1.0):
+            _assert_matches_event_loop(
+                _replication_args(config, PolicySpec(kind, edge), 3_000, 100 + c, 0.02))
+
+
+def _gapped_config():
+    """Three classes, none of size 2 or estimate 2: rank level 2 is always empty."""
+    return validate_config(0.2, [1, 2, 3], [[0.5, 0.0, 0.1], [0.0, 0.0, 0.0], [0.1, 0.0, 0.3]])
+
+
+def _final_ranks(args, result):
+    """Each traced job's final rank, in arrival order."""
+    rows = sorted(result["trace"])
+    i, k, coin = (np.array([row[c] for row in rows], dtype=int) for c in (1, 3, 4))
+    _, final = rank_path_table(PolicySpec(Policy(args[3]), args[4]), args[0])
+    return final[i, k, coin]
+
+
+def test_replication_raises_no_floating_point_warning(three_class):
+    # every policy at b = 0, 0.5 and 1, on a config whose job 0 ends above
+    # level 1 and on one with an empty level below an occupied one
+    seen_job0_above_1 = seen_gap = False
+    for config in (three_class, _gapped_config()):
+        for kind in Policy:
+            for b in (0.0, 0.5, 1.0):
+                args = (config.sizes, config.matrix.entries, config.lam, kind.value, b,
+                        2_000, 0.0, 0.02, 4, True)
+                with np.errstate(all="raise"):
+                    got = _run_replication(args)
+                final = _final_ranks(args, got)
+                levels = np.bincount(final)
+                seen_job0_above_1 |= bool(final[0] > 1)
+                seen_gap |= bool((levels[1:] == 0).any())
+                _assert_matches_event_loop(args)
+    assert seen_job0_above_1 and seen_gap
+
+
+def _filled_workspace(job_count):
+    ws = _workspace(job_count)
+    for buf in ws.values():
+        buf.fill(np.nan if buf.dtype.kind == "f" else True if buf.dtype == bool else -1)
+    return ws
+
+
+def test_reused_workspace_leaks_nothing(three_class, four_class):
+    # A has more rank levels than B; on one workspace, each run must equal
+    # the same run on a fresh one
+    a = _replication_args(four_class, PolicySpec(MT, 0.3), 4_000, 7, 0.05)
+    b = _replication_args(three_class, PolicySpec(Policy.SCF), 4_000, 8, 0.05)
+    ws = _filled_workspace(4_000)
+    assert _run_replication(a, ws) == _run_replication(a, _filled_workspace(4_000))
+    assert _run_replication(b, ws) == _run_replication(b, _filled_workspace(4_000))
+    assert _run_replication(a, ws) == _run_replication(a, _filled_workspace(4_000))
 
 
 def test_rank_path_table_three_class_mt():
