@@ -165,6 +165,11 @@ def cmd_simulate(args) -> int:
 def _read_csv(path):
     with open(path) as fh:
         rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
+    if not rows:
+        raise ValueError(f"{path}: no header row")
+    for i, r in enumerate(rows[1:], 1):
+        if len(r) != len(rows[0]):
+            raise ValueError(f"{path}: data row {i} has {len(r)} fields, the header {len(rows[0])}")
     return rows[0], rows[1:]
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Policy, SystemConfig, check_punishment
-from .numerators import Numerators, benefit, roots, sign
+from .numerators import Numerators, benefit, certified_empty, roots, sign
 from .soap import (CubeFamily, estimate_means, fcfs_mean_response, response_cube,
                    scf_mean_response)
 
@@ -179,12 +179,17 @@ def _regions(coef: np.ndarray, owner: np.ndarray, count: int,
     rounding, it holds where every series of the config is >= 0.  The roots,
     with b = 0 and b = 1, cut [0, 1] into cells, each decided at its midpoint
     by the certain signs or else by passes; runs of passing cells merge, and
-    each end is snapped inward until passes holds there.
+    each end is snapped inward until passes holds there.  A config that
+    numerators.certified_empty marks would fail on its signs in every cell:
+    its series are dropped before roots and it gets no cell.
     """
+    gone = certified_empty(coef, owner, count)
+    live = ~gone[owner]
+    coef, owner = coef[live], owner[live]
     cuts = roots(coef, owner, count)      # sorted, NaN last
     cuts = np.sort(np.column_stack((np.zeros(count), cuts, np.ones(count))), axis=1)
     mids = 0.5 * (cuts[:, :-1] + cuts[:, 1:])
-    rows, cell = np.nonzero(~np.isnan(mids))
+    rows, cell = np.nonzero(~np.isnan(mids) & ~gone[:, None])
     b = mids[rows, cell]
     worst = np.ones(mids.shape)      # each cell's worst certain sign over its config's series
     np.minimum.at(worst, owner, sign(coef, mids[owner]))

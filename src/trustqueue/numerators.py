@@ -18,6 +18,10 @@ a coefficient inside it counts as a variation on both of its sides, and a
 piece whose coefficients all lie inside it is rounding noise and yields no
 root.  Every step is elementwise or a sum in a fixed order, so each row's
 roots have the bits they have in a family of one config.
+
+Regions first drop the configs certified_empty marks: on each of the 8
+pieces [m/8, (m+1)/8] one of their series has every Bernstein coefficient
+below -2, so no cell can pass and their series need no roots.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from numpy.polynomial.chebyshev import chebder
 from .soap import CubeFamily, estimate_means
 
 _KAPPA = 1e-9           # a sign counts beyond this share of the size of the terms
+_PIECES = 8             # certified_empty bounds each series on [m/8, (m+1)/8]
 
 
 class Numerators:
@@ -86,6 +91,21 @@ def stationary_points(family: CubeFamily, rows: np.ndarray) -> np.ndarray:
     scale = _KAPPA * np.max(np.abs(dp * q) + np.abs(p * dq), axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):    # where E[T] is flat, D is 0 / 0
         return roots(_interpolate(dp * q - p * dq) / scale[:, None], np.arange(len(Q)), len(Q))
+
+
+def certified_empty(coef: np.ndarray, owner: np.ndarray, count: int) -> np.ndarray:
+    """(count,) bool: True where each piece has a series coef[r] of config owner[r] below -2.
+
+    Bernstein coefficients bound a series on their piece, so sign calls it -1
+    there.  They reach about 1e9 and a BLAS product rounds them by under
+    1e-6, which the unit of slack absorbs; a flip would only cost time.
+    """
+    d = coef.shape[1] - 1
+    bern = (_to_pieces(d).T @ coef.T).reshape(_PIECES, d + 1, len(coef))
+    piece, r = np.nonzero(bern.max(axis=1) < -2.0)      # a short last axis reduces slowly
+    below = np.zeros((count, _PIECES), dtype=bool)
+    below[owner[r], piece] = True
+    return below.all(axis=1)
 
 
 def roots(coef: np.ndarray, group: np.ndarray, count: int) -> np.ndarray:
@@ -215,6 +235,17 @@ def _to_bernstein(d: int) -> np.ndarray:
                    for k, a in enumerate(power)] for j in range(d + 1)])
     K.flags.writeable = False       # shared by every caller through the cache
     return K
+
+
+@lru_cache(maxsize=16)
+def _to_pieces(d: int) -> np.ndarray:
+    """c @ it: series c's Bernstein coefficients on each piece in turn, (d + 1) x 8 (d + 1)."""
+    pieces = [_to_bernstein(d).T]       # row k: T_k's coefficients on [0, 1]
+    while len(pieces) < _PIECES:
+        pieces = [half for p in pieces for half in _halves(p)]
+    P = np.concatenate(pieces, axis=1)
+    P.flags.writeable = False
+    return P
 
 
 def _halves(bern: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

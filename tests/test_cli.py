@@ -210,6 +210,22 @@ def test_plot_unknown_schema_exits_1(tmp_path, capsys):
     assert "schema" in err
 
 
+@pytest.mark.parametrize("body", [
+    "",
+    "# a comment and no header\n",
+    "x,b,ic_mt,ic_bt,et_mt,et_bt\n0,0,0,0,5.1,5.2\n0,0.5,0\n",
+    "x,best_b_mt,et_mt,best_b_bt,et_bt,et_fcfs,et_scf\n0,0.4,5.0,0.3\n",
+], ids=["empty", "comment-only", "short-sweep-row", "short-curve-row"])
+def test_plot_rejects_a_csv_without_header_or_with_short_rows(tmp_path, capsys, body):
+    path = tmp_path / "bad.csv"
+    path.write_text(body)
+    svg = tmp_path / "o.svg"
+    code, _, err = run(["plot", "--csv", str(path), "--out", str(svg)], capsys)
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not svg.exists()
+
+
 def test_simulate_deterministic_output(tmp_path, capsys):
     args = ["simulate", "--preset", "three-class", "--policy", "mt", "--b", "0.43",
             "--jobs", "20000", "--reps", "2", "--seed", "5"]

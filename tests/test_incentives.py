@@ -1,3 +1,5 @@
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,12 +7,14 @@ from hypothesis import strategies as st
 from numpy.polynomial import chebyshev
 
 from conftest import random_config
+from trustqueue import incentives
 from trustqueue.experiments import (PRESETS, four_class_example, rare_long_job_example,
                                     three_class_example)
 from trustqueue.incentives import (DEFAULT_TOL, UndefinedColumnError, _ic_regions,
                                    delta_grid, ic_check, ic_indicator, ic_region,
                                    pair_threshold, social_benefit_region)
-from trustqueue.numerators import Numerators, roots, sign, stationary_points
+from trustqueue.numerators import (Numerators, _to_pieces, _value, certified_empty, roots, sign,
+                                   stationary_points)
 from trustqueue.model import ConfigError, Policy, SizeGrid, diagonal_matrix, validate_config
 from trustqueue.soap import (CubeFamily, fcfs_mean_response, overall_curve, response_cube,
                              scf_mean_response)
@@ -490,3 +494,72 @@ def test_stationary_points_find_every_turn_of_the_mean_response(kind):
                 turns += 1
                 assert np.any((r >= bs[t]) & (r <= bs[t + 2])), (n, bs[t + 1], r)
     assert turns >= 5
+
+
+def _certified(configs, kind):
+    num = Numerators(CubeFamily(configs, kind), DEFAULT_TOL)
+    return certified_empty(num.coef, num.owner, len(configs))
+
+
+@pytest.mark.parametrize("kind", [MT, BT])
+def test_certified_configs_fail_the_ic_check_everywhere(kind):
+    # the certificate skips a config's roots; ic_check's rule, from response_cube,
+    # must then fail at every b, on the four-class family and on random configs
+    xs = np.round(np.linspace(0.0, 1.0, 201), 12)
+    family = [four_class_example(float(x)) for x in xs]
+    randoms = [[random_config(5000 * n + s, n_range=(n, n), max_load=0.98) for s in range(30)]
+               for n in range(2, 7)]
+    bs = np.linspace(0.0, 1.0, 1001)
+    checked = 0
+    for configs in [family] + randoms:
+        for config, certified in zip(configs, _certified(configs, kind)):
+            if certified:
+                checked += 1
+                assert not ic_indicator(config, kind, bs).any()     # ic_check at every b
+                assert not ic_check(config, kind, 0.5).verdict
+    assert checked > 240
+    # the floor keeps the pruning from silently doing nothing
+    empty = [region.is_empty for region in _ic_regions(CubeFamily(family, kind))]
+    certified = _certified(family, kind)
+    assert certified.sum() >= {MT: 140, BT: 160}[kind]
+    assert not (certified & ~np.array(empty)).any()
+
+
+def test_region_search_finds_no_roots_for_certified_configs(monkeypatch):
+    configs = [four_class_example(float(x)) for x in np.round(np.linspace(0.0, 1.0, 201), 12)]
+    num = Numerators(CubeFamily(configs, MT), DEFAULT_TOL)
+    live = ~certified_empty(num.coef, num.owner, len(configs))[num.owner]
+    seen = []
+    monkeypatch.setattr(incentives, "roots",
+                        lambda coef, *args: seen.append(coef) or roots(coef, *args))
+    _ic_regions(CubeFamily(configs, MT))
+    assert len(seen) == 1 and np.array_equal(seen[0], num.coef[live])
+    assert live.sum() < 0.3 * len(live)
+
+
+def test_piece_matrix_gives_bernstein_forms_of_each_eighth():
+    rng = np.random.default_rng(11)
+    coef = Numerators(CubeFamily([random_config(s, n_range=(4, 4)) for s in range(5)], BT),
+                      DEFAULT_TOL).coef
+    for d in range(1, 10):
+        rows = rng.normal(0.0, 1.0, (20, d + 1)) * 10.0 ** rng.uniform(-3, 9, (20, 1))
+        if d == coef.shape[1] - 1:
+            rows = np.concatenate((rows, coef))
+        pieces = (rows @ _to_pieces(d)).reshape(len(rows), 8, d + 1)
+        t = np.concatenate(([0.0, 1.0], rng.uniform(0.0, 1.0, 30)))    # within each piece
+        basis = np.array([comb(d, j) * t ** j * (1.0 - t) ** (d - j) for j in range(d + 1)])
+        size = np.abs(rows).sum(axis=1)[:, None]        # |series| <= size on [0, 1]
+        for m in range(8):
+            value = _value(rows.T[:, :, None], (m + t[None, :]) / 8.0)
+            assert np.all(np.abs(pieces[:, m] @ basis - value) <= 1e-12 * size), (d, m)
+
+
+@pytest.mark.parametrize("kind, lo, hi", [(BT, 0.165, 0.19), (MT, 0.215, 0.27)])
+def test_family_regions_equal_single_regions_where_the_certificate_starts(kind, lo, hi):
+    # regions turn empty at the low end; the certificate starts to hold near the high end
+    configs = [four_class_example(float(x)) for x in np.round(np.arange(lo, hi, 5e-4), 12)]
+    regions = _ic_regions(CubeFamily(configs, kind))
+    assert regions == [ic_region(config, kind) for config in configs]
+    certified = _certified(configs, kind)
+    empty = np.array([region.is_empty for region in regions])
+    assert certified.any() and (empty & ~certified).any() and (~empty).any()
