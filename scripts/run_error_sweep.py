@@ -4,7 +4,7 @@
 Writes sweep.csv / curve.csv plus sweep.svg / curve.svg into --out-dir.
 The default grid is coarse enough for a quick look; pass --fine for the
 full-resolution grid (x step 0.005, b step 0.001; the whole script then
-takes a few seconds).
+takes about a second).
 """
 
 import argparse
@@ -19,7 +19,6 @@ def main() -> None:
     parser.add_argument("--out-dir", default="out")
     parser.add_argument("--fine", action="store_true")
     parser.add_argument("--x-max", type=float, default=0.4)
-    parser.add_argument("--workers", type=int, default=2)
     args = parser.parse_args()
 
     x_step, b_step = (0.005, 0.001) if args.fine else (0.02, 0.005)
@@ -27,19 +26,19 @@ def main() -> None:
     out.mkdir(parents=True, exist_ok=True)
     probs, grid, lam = four_class_family()
 
-    rows = experiments.sweep_region(probs, grid, lam, x_step=x_step, b_step=b_step,
-                                    x_max=args.x_max, workers=args.workers)
+    sweep = experiments.sweep_region(probs, grid, lam, x_step=x_step, b_step=b_step,
+                                     x_max=args.x_max)
     sweep_csv = out / "sweep.csv"
-    experiments.write_sweep_csv(rows, sweep_csv)
-    feasible_mt = [r.x for r in rows if r.ic_mt]
-    feasible_bt = [r.x for r in rows if r.ic_bt]
-    print(f"wrote {sweep_csv} ({len(rows)} rows)")
-    if feasible_mt:
-        print(f"  measured trust feasible up to x = {max(feasible_mt):g}")
-    if feasible_bt:
-        print(f"  blind trust feasible up to x = {max(feasible_bt):g}")
-    (out / "sweep.svg").write_text(
-        svgchart.sweep_chart([(r.x, r.b, r.ic_mt, r.ic_bt) for r in rows]))
+    experiments.write_sweep_csv(sweep, sweep_csv)
+    print(f"wrote {sweep_csv} ({len(sweep)} rows)")
+    for name, ok in (("measured trust", sweep.ic_mt), ("blind trust", sweep.ic_bt)):
+        if ok.any():
+            print(f"  {name} feasible up to x = {sweep.x[ok.any(axis=1)].max():g}")
+    bs = sweep.b.tolist()
+    (out / "sweep.svg").write_text(svgchart.sweep_chart(
+        (x, b, m, t) for x, row_mt, row_bt in zip(sweep.x.tolist(), sweep.ic_mt.tolist(),
+                                                  sweep.ic_bt.tolist())
+        for b, m, t in zip(bs, row_mt, row_bt)))
     print(f"wrote {out / 'sweep.svg'}")
 
     curve = experiments.optimal_b_curve(probs, grid, lam, x_step=x_step,

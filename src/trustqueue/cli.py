@@ -105,15 +105,14 @@ def cmd_ic_region(args) -> int:
 
 def cmd_sweep(args) -> int:
     probs, grid, lam = _family_from_args(args)
-    rows = experiments.sweep_region(probs, grid, lam, x_step=args.x_step,
-                                    b_step=args.b_step, x_max=args.x_max,
-                                    workers=args.workers)
-    experiments.write_sweep_csv(rows, args.out)
-    feasible = [r.x for r in rows if r.ic_mt]
-    print(f"wrote {len(rows)} rows to {args.out}")
-    if feasible:
+    sweep = experiments.sweep_region(probs, grid, lam, x_step=args.x_step,
+                                     b_step=args.b_step, x_max=args.x_max)
+    experiments.write_sweep_csv(sweep, args.out)
+    feasible = sweep.x[sweep.ic_mt.any(axis=1)]
+    print(f"wrote {len(sweep)} rows to {args.out}")
+    if feasible.size:
         print(f"largest error rate with an incentive compatible b (measured trust): "
-              f"{max(feasible):g}")
+              f"{feasible.max():g}")
     return 0
 
 
@@ -237,8 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-step", type=float, default=0.005)
     p.add_argument("--b-step", type=float, default=0.001)
     p.add_argument("--x-max", type=float, default=1.0)
-    p.add_argument("--workers", type=int, default=1,
-                   help="processes that compute the sweep's columns")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_sweep)
 

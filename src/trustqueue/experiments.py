@@ -11,8 +11,9 @@ Three presets ship built in so every analysis runs without external data:
   perfect estimates, lambda = 0.8 — a near-deterministic workload where
   BlindTrust needs punishment probabilities close to 1.
 
-The best-b curve solves all its error rates together, per policy, over a
-CubeFamily built from the error matrices of every rate at once: the exact
+The sweep and the best-b curve both build, per policy, one CubeFamily from
+the error matrices of every error rate at once.  The sweep cubes it a
+chunk of configs at a time over its whole b grid.  The curve's exact
 regions of the whole family come from its pairs' numerator roots, and
 E[T]'s stationary points from one node cube and its numerator's roots.
 The candidates of every (error rate, interval) pair, its endpoints and the
@@ -23,20 +24,20 @@ rate by error rate.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .incentives import DEFAULT_TOL_B, _ic_regions, _check_tol_b, ic_indicator
+from .incentives import DEFAULT_TOL, DEFAULT_TOL_B, _check_tol_b, _deltas, _feasible, _ic_regions
 from .incentives import ic_region  # noqa: F401  (perfbench's tracer rebinds experiments.ic_region)
 from .model import (Policy, SizeGrid, SizeEstimateMatrix, SystemConfig,
                     diagonal_matrix, uniform_error_entries, uniform_error_matrix)
 from .numerators import stationary_points
-from .soap import CubeFamily, fcfs_mean_response, overall_curve, scf_mean_response
+from .soap import CubeFamily, fcfs_mean_response, scf_mean_response
 
 MT = Policy.MEASURED_TRUST
 BT = Policy.BLIND_TRUST
+CHUNK = 16      # configs per sweep cube: a larger family cube faults in fresh pages
 
 
 def three_class_example() -> SystemConfig:
@@ -76,13 +77,18 @@ PRESETS = {
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    x: float
-    b: float
-    ic_mt: bool
-    ic_bt: bool
-    et_mt: float
-    et_bt: float
+class Sweep:
+    """The (x, b) sweep as columns: x (X,), b (B,), and flags and E[T] of shape (X, B)."""
+
+    x: np.ndarray
+    b: np.ndarray
+    ic_mt: np.ndarray
+    ic_bt: np.ndarray
+    et_mt: np.ndarray
+    et_bt: np.ndarray
+
+    def __len__(self) -> int:
+        return self.ic_mt.size
 
 
 @dataclass(frozen=True)
@@ -101,43 +107,38 @@ def _grid(step: float, upper: float = 1.0) -> np.ndarray:
         raise ValueError(f"grid step must be in (0, 1], got {step:g}")
     if not 0.0 <= upper <= 1.0:
         raise ValueError(f"x max must be in [0, 1], got {upper:g}")
-    count = int(round(upper / step))
+    count = round(upper / step)
+    if abs(upper / step - count) > 1e-9 * upper / step:
+        raise ValueError(f"grid step {step:g} does not divide [0, {upper:g}] into whole steps")
     return np.round(np.linspace(0.0, upper, count + 1), 12)
 
 
-def _sweep_column(args):
-    size_probs, sizes, lam, x, bs = args
-    grid = SizeGrid(sizes)
-    config = SystemConfig(lam=lam, grid=grid,
-                          matrix=uniform_error_matrix(size_probs, grid, x))
-    ok_mt = ic_indicator(config, MT, bs)
-    ok_bt = ic_indicator(config, BT, bs)
-    et_mt = overall_curve(config, MT, bs)
-    et_bt = overall_curve(config, BT, bs)
-    return ok_mt, ok_bt, et_mt, et_bt
+def _error_family(size_probs, grid: SizeGrid, lam: float, x_step: float, x_max: float):
+    """The config at x = 0, validated, the x grid, and the error matrices of every x."""
+    probs = np.asarray(size_probs, float)
+    base_cfg = SystemConfig(lam=lam, grid=grid, matrix=diagonal_matrix(probs, grid))
+    xs = _grid(x_step, x_max)
+    return base_cfg, xs, uniform_error_entries(probs, grid, xs)
 
 
 def sweep_region(size_probs, grid: SizeGrid, lam: float,
-                 x_step: float = 0.005, b_step: float = 0.001,
-                 x_max: float = 1.0, workers: int = 1) -> list[SweepRow]:
-    """Incentive-compatibility indicators and mean responses on an (x, b) grid."""
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
-    xs = _grid(x_step, x_max)
+                 x_step: float = 0.005, b_step: float = 0.001, x_max: float = 1.0) -> Sweep:
+    """Incentive-compatibility indicators and mean responses on an (x, b) grid.
+
+    Each cell equals ic_indicator's and overall_curve's of its own config.
+    """
+    _, xs, entries = _error_family(size_probs, grid, lam, x_step, x_max)
     bs = _grid(b_step)
-    tasks = [(np.asarray(size_probs, float), np.asarray(grid.sizes), lam, float(x), bs)
-             for x in xs]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            columns = list(pool.map(_sweep_column, tasks))
-    else:
-        columns = [_sweep_column(t) for t in tasks]
-    rows = []
-    for x, (ok_mt, ok_bt, et_mt, et_bt) in zip(xs, columns):
-        for t, b in enumerate(bs):
-            rows.append(SweepRow(float(x), float(b), bool(ok_mt[t]), bool(ok_bt[t]),
-                                 float(et_mt[t]), float(et_bt[t])))
-    return rows
+    ok = np.empty((2, len(xs), len(bs)), dtype=bool)
+    et = np.empty((2, len(xs), len(bs)))
+    for p, kind in enumerate((MT, BT)):
+        family = CubeFamily.from_arrays(kind, lam, grid.sizes, entries)
+        for start in range(0, len(xs), CHUNK):
+            rows = np.arange(start, min(start + CHUNK, len(xs)))
+            U = family.cube(rows, np.broadcast_to(bs, (len(rows), len(bs))))
+            ok[p, rows] = _feasible(_deltas(entries[rows], U), DEFAULT_TOL)
+            et[p, rows] = np.einsum("rij,rijb->rb", entries[rows], U)
+    return Sweep(xs, bs, ok[0], ok[1], et[0], et[1])
 
 
 def _best_bs(family: CubeFamily, b_step: float,
@@ -186,12 +187,9 @@ def optimal_b_curve(size_probs, grid: SizeGrid, lam: float,
     are x-independent since neither FCFS nor SCF reads estimates.
     """
     _check_tol_b(tol_b)
-    probs = np.asarray(size_probs, float)
-    base_cfg = SystemConfig(lam=lam, grid=grid, matrix=diagonal_matrix(probs, grid))
+    base_cfg, xs, entries = _error_family(size_probs, grid, lam, x_step, x_max)
     et_fcfs = fcfs_mean_response(base_cfg)
     et_scf, _ = scf_mean_response(base_cfg)
-    xs = _grid(x_step, x_max)
-    entries = uniform_error_entries(probs, grid, xs)
     best = {kind: _best_bs(CubeFamily.from_arrays(kind, lam, grid.sizes, entries), b_step, tol_b)
             for kind in (MT, BT)}
     return [CurveRow(
@@ -206,23 +204,23 @@ def optimal_b_curve(size_probs, grid: SizeGrid, lam: float,
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    return f"{value:.6g}"
+    return "" if value is None else f"{value:.6g}"
 
 
 SWEEP_HEADER = "x,b,ic_mt,ic_bt,et_mt,et_bt"
 CURVE_HEADER = "x,best_b_mt,et_mt,best_b_bt,et_bt,et_fcfs,et_scf"
 
 
-def write_sweep_csv(rows, path) -> None:
+def write_sweep_csv(sweep: Sweep, path) -> None:
+    bs = [_fmt(b) for b in sweep.b.tolist()]
     with open(path, "w") as fh:
         fh.write(SWEEP_HEADER + "\n")
-        for r in rows:
-            fh.write(",".join([_fmt(r.x), _fmt(r.b), _fmt(r.ic_mt), _fmt(r.ic_bt),
-                               _fmt(r.et_mt), _fmt(r.et_bt)]) + "\n")
+        for x, ok_mt, ok_bt, et_mt, et_bt in zip(
+                sweep.x.tolist(), sweep.ic_mt.tolist(), sweep.ic_bt.tolist(),
+                sweep.et_mt.tolist(), sweep.et_bt.tolist()):
+            x = _fmt(x)
+            fh.writelines(f"{x},{b},{m:d},{t:d},{e:.6g},{f:.6g}\n"
+                          for b, m, t, e, f in zip(bs, ok_mt, ok_bt, et_mt, et_bt))
 
 
 def write_curve_csv(rows, path) -> None:

@@ -121,6 +121,21 @@ def test_grid_step_outside_unit_interval_exits_1(argv, tmp_path, capsys):
     assert not out_csv.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["curve", "--x-step", "0.7"], "grid step 0.7 does not divide [0, 1]"),
+    (["sweep", "--x-step", "0.3"], "grid step 0.3 does not divide [0, 1]"),
+    (["sweep", "--b-step", "0.3"], "grid step 0.3 does not divide [0, 1]"),
+    (["curve", "--x-max", "0.333"], "grid step 0.005 does not divide [0, 0.333]"),
+])
+def test_grid_step_that_does_not_divide_the_range_exits_1(argv, message, tmp_path, capsys):
+    out_csv = tmp_path / "out.csv"
+    code, out, err = run(argv + ["--out", str(out_csv)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message} into whole steps\n"
+    assert not out_csv.exists()
+
+
 @pytest.mark.parametrize("command", ["curve", "sweep"])
 @pytest.mark.parametrize("x_max", ["inf", "nan", "-1", "1.5"])
 def test_x_max_outside_unit_interval_exits_1(command, x_max, tmp_path, capsys):
@@ -288,16 +303,6 @@ def test_simulate_rejects_fewer_than_one_worker(workers, capsys):
     assert out == ""
     assert f"workers must be at least 1, got {workers}" in err
     assert "Traceback" not in err
-
-
-def test_sweep_rejects_zero_workers(tmp_path, capsys):
-    out_csv = tmp_path / "sweep.csv"
-    code, out, err = run(["sweep", "--x-step", "0.1", "--b-step", "0.05", "--x-max", "0.2",
-                          "--workers", "0", "--out", str(out_csv)], capsys)
-    assert code == 1
-    assert out == ""
-    assert "workers must be at least 1, got 0" in err
-    assert not out_csv.exists()
 
 
 def test_simulate_rejects_one_job_replications(capsys):

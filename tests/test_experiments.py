@@ -1,4 +1,6 @@
 import hashlib
+import runpy
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,7 @@ from trustqueue.experiments import (CURVE_HEADER, SWEEP_HEADER, _best_b, _best_b
                                     optimal_b_curve, rare_long_job_example,
                                     sweep_region, three_class_example,
                                     write_curve_csv, write_sweep_csv)
-from trustqueue.incentives import _ic_regions, ic_check, ic_region
+from trustqueue.incentives import _ic_regions, ic_check, ic_indicator, ic_region
 from trustqueue.model import (ConfigError, MatrixNotNormalizedError, OverloadedError, Policy,
                               SizeGrid, SystemConfig, uniform_error_entries, uniform_error_matrix)
 from trustqueue.soap import CubeFamily, overall_curve
@@ -48,49 +50,68 @@ def test_rare_long_job_preset_facts():
 
 def test_sweep_grid_shape_and_flags():
     probs, grid, lam = four_class_family()
-    rows = sweep_region(probs, grid, lam, x_step=0.05, b_step=0.02, x_max=0.3)
-    assert len(rows) == 7 * 51
-    by_x = {}
-    for r in rows:
-        by_x.setdefault(r.x, []).append(r)
-    # every row carries finite mean responses
-    assert all(np.isfinite(r.et_mt) and np.isfinite(r.et_bt) for r in rows)
+    sweep = sweep_region(probs, grid, lam, x_step=0.05, b_step=0.02, x_max=0.3)
+    assert len(sweep) == 7 * 51
+    assert sweep.x.shape == (7,) and sweep.b.shape == (51,)
+    assert all(a.shape == (7, 51) for a in (sweep.ic_mt, sweep.ic_bt, sweep.et_mt, sweep.et_bt))
+    # every cell carries finite mean responses
+    assert np.isfinite(sweep.et_mt).all() and np.isfinite(sweep.et_bt).all()
     # IC flags agree with a direct check on a few cells
-    cfg_x = {x: None for x in by_x}
-    some = [rows[13], rows[200], rows[271]]
-    from trustqueue.model import SystemConfig, uniform_error_matrix
-    for r in some:
+    for r, t in [(0, 13), (3, 47), (5, 16)]:
         cfg = SystemConfig(lam=lam, grid=grid,
-                           matrix=uniform_error_matrix(probs, grid, r.x))
-        assert r.ic_mt == ic_check(cfg, MT, r.b).verdict
+                           matrix=uniform_error_matrix(probs, grid, float(sweep.x[r])))
+        assert sweep.ic_mt[r, t] == ic_check(cfg, MT, float(sweep.b[t])).verdict
 
 
 def test_sweep_zero_error_interval_is_widest():
     probs, grid, lam = four_class_family()
-    rows = sweep_region(probs, grid, lam, x_step=0.05, b_step=0.01, x_max=0.2)
-    runs = {}
-    for r in rows:
-        if r.ic_mt:
-            lo, hi = runs.get(r.x, (1.0, 0.0))
-            runs[r.x] = (min(lo, r.b), max(hi, r.b))
+    sweep = sweep_region(probs, grid, lam, x_step=0.05, b_step=0.01, x_max=0.2)
+    runs = {x: (sweep.b[ok].min(), sweep.b[ok].max())
+            for x, ok in zip(sweep.x.tolist(), sweep.ic_mt) if ok.any()}
     assert 0.0 in runs
     lo0, hi0 = runs[0.0]
     for x, (lo, hi) in runs.items():
         assert lo0 <= lo and hi0 >= hi
 
 
-def test_sweep_workers_deterministic():
-    probs, grid, lam = four_class_family()
-    a = sweep_region(probs, grid, lam, x_step=0.1, b_step=0.05, x_max=0.2)
-    b = sweep_region(probs, grid, lam, x_step=0.1, b_step=0.05, x_max=0.2, workers=2)
-    assert a == b
+def test_sweep_columns_equal_each_configs_indicator_and_curve():
+    # ic_indicator and overall_curve of one config per x are the per-x sweep the
+    # family sweep replaced, kept here as its reference
+    # the presets' 21 error rates take two chunks of the family cube
+    families = [(*four_class_family(), 0.05)] + [
+        (cfg.matrix.size_marginal, cfg.grid, cfg.lam, 0.05)
+        for cfg in (three_class_example(), rare_long_job_example())]
+    rng = np.random.default_rng(23)
+    for n in (2, 2, 3, 3, 4, 4, 5, 5, 6, 6):
+        grid = SizeGrid(np.cumsum(rng.uniform(0.2, 3.0, n)))
+        probs = rng.dirichlet(np.ones(n))
+        families.append((probs, grid, rng.uniform(0.3, 0.95) / (probs @ grid.sizes), 0.1))
+    for probs, grid, lam, x_step in families:
+        sweep = sweep_region(probs, grid, lam, x_step=x_step, b_step=0.02)
+        for r, x in enumerate(sweep.x.tolist()):
+            config = SystemConfig(lam=lam, grid=grid,
+                                  matrix=uniform_error_matrix(probs, grid, x))
+            for kind, ok, et in ((MT, sweep.ic_mt, sweep.et_mt), (BT, sweep.ic_bt, sweep.et_bt)):
+                assert np.array_equal(ok[r], ic_indicator(config, kind, sweep.b)), (kind, x)
+                assert np.array_equal(et[r], overall_curve(config, kind, sweep.b)), (kind, x)
+                t = int(rng.integers(len(sweep.b)))
+                assert reference.overall(config, kind, float(sweep.b[t])) == \
+                    pytest.approx(et[r, t], rel=1e-12, abs=0)
 
 
-@pytest.mark.parametrize("workers", [0, -3])
-def test_sweep_rejects_fewer_than_one_worker(workers):
+def test_error_sweep_script_writes_the_sweep_and_both_charts(tmp_path, monkeypatch, capsys):
+    script = Path(__file__).parents[1] / "scripts" / "run_error_sweep.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--out-dir", str(tmp_path), "--x-max", "0.04"])
+    runpy.run_path(str(script), run_name="__main__")
+    out = capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        ["curve.csv", "curve.svg", "sweep.csv", "sweep.svg"]
     probs, grid, lam = four_class_family()
-    with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
-        sweep_region(probs, grid, lam, x_step=0.1, b_step=0.05, x_max=0.2, workers=workers)
+    write_sweep_csv(sweep_region(probs, grid, lam, x_step=0.02, b_step=0.005, x_max=0.04),
+                    tmp_path / "expected.csv")
+    assert (tmp_path / "sweep.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+    assert "  measured trust feasible up to x = 0.04\n" in out
+    assert "  blind trust feasible up to x = 0.04\n" in out
 
 
 def test_curve_baselines_and_feasibility():
@@ -248,8 +269,9 @@ def test_error_entries_reject_what_uniform_error_matrix_rejects(probs, sizes, la
     ([0.5, 0.5], [1.0, 2.0], 0.5, 1.5, ValueError, r"x max must be in \[0, 1\], got 1.5"),
 ])
 def test_curve_rejects_invalid_inputs(probs, sizes, lam, x_max, error, message):
-    with pytest.raises(error, match=message):
-        optimal_b_curve(probs, SizeGrid(sizes), lam, x_step=0.25, b_step=0.05, x_max=x_max)
+    for build in (optimal_b_curve, sweep_region):
+        with pytest.raises(error, match=message):
+            build(probs, SizeGrid(sizes), lam, x_step=0.25, b_step=0.05, x_max=x_max)
 
 
 @pytest.mark.parametrize("x_max", [float("inf"), float("nan"), -1.0, 1.5])
@@ -258,6 +280,28 @@ def test_grids_reject_x_max_outside_unit_interval(x_max):
     for build in (optimal_b_curve, sweep_region):
         with pytest.raises(ValueError, match=r"x max must be in \[0, 1\]"):
             build(probs, grid, lam, x_step=0.1, b_step=0.05, x_max=x_max)
+
+
+@pytest.mark.parametrize("step, upper", [(0.7, 1.0), (0.3, 1.0), (0.005, 0.333), (0.4, 0.5)])
+def test_grids_reject_a_step_that_does_not_divide_the_range(step, upper):
+    probs, grid, lam = four_class_family()
+    message = rf"grid step {step:g} does not divide \[0, {upper:g}\] into whole steps"
+    with pytest.raises(ValueError, match=message):
+        _grid(step, upper)
+    for build in (optimal_b_curve, sweep_region):
+        with pytest.raises(ValueError, match=message):
+            build(probs, grid, lam, x_step=step, b_step=0.05, x_max=upper)
+    if upper == 1.0:       # the sweep's b grid spans [0, 1]
+        with pytest.raises(ValueError, match=message):
+            sweep_region(probs, grid, lam, x_step=0.5, b_step=step)
+
+
+@pytest.mark.parametrize("step, upper, count", [(0.05, 0.3, 7), (0.005, 1.0, 201), (0.25, 0.0, 1),
+                                                (0.1, 0.7, 8), (1.0, 1.0, 2)])
+def test_grids_accept_a_step_that_divides_the_range_up_to_rounding(step, upper, count):
+    # 0.3 / 0.05 = 5.999999999999999 and 0.7 / 0.1 = 6.999999999999999 in floating point
+    xs = _grid(step, upper)
+    assert len(xs) == count and xs[0] == 0.0 and xs[-1] == upper
 
 
 @pytest.mark.parametrize("tol_b", [0.0, -1.0, float("nan"), float("inf")])

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import reference
 from conftest import random_config
 from trustqueue import rank_boundaries
+from trustqueue.experiments import four_class_example, rare_long_job_example, three_class_example
 from trustqueue.model import (ConfigError, Policy, PolicySpec, SizeGrid, diagonal_matrix,
                              validate_config)
 from trustqueue.soap import (CubeFamily, estimate_means, fcfs_mean_response, mean_response_u,
@@ -230,6 +231,38 @@ def test_scf_point_mass_equals_fcfs():
     config = validate_config(0.5, [1, 2, 3], diagonal_matrix([1.0, 0.0, 0.0], grid).entries)
     overall, _ = scf_mean_response(config)
     assert overall == pytest.approx(fcfs_mean_response(config), rel=1e-12)
+
+
+def _psjf_mean_response(lam, probs, sizes):
+    """Preemptive shortest job first with exact sizes, from its closed form.
+
+    E[T_i] = z_i / (1 - s_{<i}) + lam sum_{l<=i} p_l z_l^2 / (2 (1 - s_{<i}) (1 - s_{<=i})),
+    with s_{<i} = lam sum_{l<i} p_l z_l.
+    """
+    total, below, second = 0.0, 0.0, 0.0
+    for p, z in zip(probs, sizes):
+        upto = below + lam * p * z
+        second += p * z * z
+        total += p * (z / (1 - below) + lam * second / (2 * (1 - below) * (1 - upto)))
+        below = upto
+    return total
+
+
+@pytest.mark.parametrize("preset", [three_class_example, four_class_example,
+                                    rare_long_job_example])
+def test_perfect_estimates_give_preemptive_sjf_at_every_b(preset):
+    # with a diagonal matrix no job overruns, so neither the punishment nor
+    # the trust policy matters and each class is served as under PSJF
+    config = preset()
+    probs = config.matrix.size_marginal
+    perfect = validate_config(config.lam, config.sizes,
+                              diagonal_matrix(probs, config.grid).entries)
+    expected = _psjf_mean_response(config.lam, probs, config.sizes)
+    for kind in (MT, BT):
+        np.testing.assert_allclose(overall_curve(perfect, kind, np.linspace(0.0, 1.0, 11)),
+                                   expected, rtol=1e-12, atol=0)
+    if preset is three_class_example:
+        assert expected == pytest.approx(6.62945, abs=5e-6)
 
 
 @given(st.integers(0, 2**31))
