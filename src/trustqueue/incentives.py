@@ -24,8 +24,7 @@ import numpy as np
 
 from .model import Policy, SystemConfig, check_punishment
 from .numerators import Numerators, benefit, certified_empty, roots, sign
-from .soap import (CubeFamily, estimate_means, fcfs_mean_response, response_cube,
-                   scf_mean_response)
+from .soap import CubeFamily, estimate_means, overall_curve, response_cube
 
 DEFAULT_TOL = 1e-9      # slack on delta >= 0, in time units
 DEFAULT_GRID = 1e-3     # b step a search accepts; validated, changes no result
@@ -60,7 +59,10 @@ class BInterval:
 
 @dataclass(frozen=True)
 class BIntervalSet:
-    """Disjoint sorted closed subintervals of [0, 1] plus their resolution."""
+    """Disjoint sorted closed subintervals of [0, 1], exact.
+
+    grid_step and tol_b record the caller's search inputs; they shape no interval.
+    """
 
     intervals: tuple[BInterval, ...]
     grid_step: float
@@ -242,12 +244,9 @@ def social_benefit_region(config: SystemConfig, kind: Policy, baseline: Policy,
     """
     _check_step(grid_step)
     _check_tol_b(tol_b)
-    if baseline == Policy.FCFS:
-        target = fcfs_mean_response(config)
-    elif baseline == Policy.SCF:
-        target, _ = scf_mean_response(config)
-    else:
+    if baseline.uses_estimates:
         raise ValueError(f"baseline must be a blind policy, got {baseline}")
+    target = float(overall_curve(config, baseline, [0.0])[0])
     family = CubeFamily([config], kind)
 
     def passes(rows, bs):       # E[T] <= target, E[T] summed as overall_curve sums it

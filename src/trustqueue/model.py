@@ -89,14 +89,7 @@ class SizeEstimateMatrix:
         m = np.asarray(self.entries, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ConfigError(f"matrix must be square, got shape {m.shape}")
-        if np.any(m < 0):
-            raise NegativeEntryError("joint probabilities must be >= 0")
-        total = float(m.sum())
-        if abs(total - 1.0) > NORM_TOL:
-            raise MatrixNotNormalizedError(
-                f"matrix entries sum to {total!r}, expected 1 within {NORM_TOL}"
-            )
-        m = m / total  # absorb round-off inside the tolerance
+        m = _as_distribution(m, "matrix entries")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 
@@ -148,10 +141,6 @@ class SystemConfig:
         return float(self.matrix.size_marginal @ self.grid.sizes)
 
     @property
-    def mean_size_sq(self) -> float:
-        return float(self.matrix.size_marginal @ self.grid.sizes**2)
-
-    @property
     def load(self) -> float:
         return self.lam * self.mean_size
 
@@ -178,14 +167,15 @@ def validate_config(lam: float, sizes, matrix) -> SystemConfig:
     return SystemConfig(lam=float(lam), grid=SizeGrid(sizes), matrix=SizeEstimateMatrix(matrix))
 
 
-def _as_distribution(probs) -> np.ndarray:
+def _as_distribution(probs, what: str = "probabilities") -> np.ndarray:
+    """probs, each >= 0 (NaN is not) and summing to 1 within NORM_TOL, renormalized."""
     p = np.asarray(probs, dtype=float)
-    if np.any(p < 0):
-        raise NegativeEntryError("probabilities must be >= 0")
+    if not (p >= 0).all():      # NaN compares False
+        raise NegativeEntryError(f"{what} must be >= 0, got {p[~(p >= 0)][0]}")
     total = float(p.sum())
     if abs(total - 1.0) > NORM_TOL:
-        raise MatrixNotNormalizedError(f"probabilities sum to {total!r}, expected 1")
-    return p / total
+        raise MatrixNotNormalizedError(f"{what} sum to {total!r}, expected 1 within {NORM_TOL}")
+    return p / total  # absorb round-off inside the tolerance
 
 
 def uniform_error_matrix(size_probs, grid: SizeGrid, error_rate: float) -> SizeEstimateMatrix:
@@ -238,15 +228,20 @@ def load_config(path) -> SystemConfig:
     """
     with open(path) as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ConfigError("config file must hold a JSON object")
     try:
         lam = float(raw["lambda"])
         grid = SizeGrid(raw["sizes"])
+        if "matrix" in raw:
+            matrix = SizeEstimateMatrix(raw["matrix"])
+        elif "size_probs" in raw:
+            matrix = uniform_error_matrix(raw["size_probs"], grid,
+                                          float(raw.get("error_rate", 0.0)))
+        else:
+            raise ConfigError("config file needs either 'matrix' or 'size_probs'")
     except KeyError as exc:
         raise ConfigError(f"config file missing required key {exc}") from exc
-    if "matrix" in raw:
-        matrix = SizeEstimateMatrix(raw["matrix"])
-    elif "size_probs" in raw:
-        matrix = uniform_error_matrix(raw["size_probs"], grid, float(raw.get("error_rate", 0.0)))
-    else:
-        raise ConfigError("config file needs either 'matrix' or 'size_probs'")
+    except TypeError as exc:
+        raise ConfigError(f"config file value of the wrong type: {exc}") from exc
     return SystemConfig(lam=lam, grid=grid, matrix=matrix)

@@ -11,9 +11,14 @@ follow from the age-based-priority (SOAP) formula
     E[U] = lam * E[S^2_{<=w}] / (2 (1 - rho_{<w}) (1 - rho_{<=w}))
            + z_i / (1 - rho_{<w})
 
-evaluated at w.  A punished job has w = n+1, an honest or overestimating
-job has w = k (its declared class), and an unpunished underestimator
-climbs to w = i under MeasuredTrust or stays at w = k under BlindTrust.
+evaluated at w.  Under a trust policy a punished job has w = n+1, an
+honest or overestimating job has w = k (its declared class), and an
+unpunished underestimator climbs to w = i under MeasuredTrust or stays at
+w = k under BlindTrust.  The blind baselines are rank paths too: every
+FCFS job keeps rank 1, and an SCF job of size z_i ends at rank i + 1.
+Their punishment coin moves no job, so the one cube formula gives every
+policy's closed form, and fcfs_mean_response and scf_mean_response are
+their cubes at b = 0.
 
 Moment tables are linear in the punishment probability b, m[ell](b) =
 a[ell] + b d[ell], so the cube formula evaluates a whole vector of b
@@ -35,14 +40,6 @@ import numpy as np
 
 from .model import Policy, PolicySpec, SystemConfig, check_punishment
 from .ranks import initial_rank, rank_boundaries, rank_path_table
-
-TRUST_POLICIES = (Policy.MEASURED_TRUST, Policy.BLIND_TRUST)
-
-
-def _require_trust(kind: Policy) -> None:
-    if kind not in TRUST_POLICIES:
-        raise ValueError(f"rank-based analysis applies to trust policies, not {kind}")
-
 
 @dataclass(frozen=True)
 class MomentTable:
@@ -74,11 +71,6 @@ def _rank_sums(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     return terms.reshape(terms.shape[:-2] + (-1,)).sum(axis=-1)
 
 
-def _level_response(lam, m2, rho, size, w):
-    """Mean response of a job of the given size whose final rank is w (the formula above)."""
-    return lam * m2[w] / (2.0 * (1.0 - rho[w - 1]) * (1.0 - rho[w])) + size / (1.0 - rho[w - 1])
-
-
 class CubeFamily:
     """The cube formula's inputs for configs of one size n, stacked on a leading axis.
 
@@ -107,7 +99,6 @@ class CubeFamily:
 
     def _build(self, kind: Policy, lam: np.ndarray, sizes: np.ndarray, entries: np.ndarray):
         """sizes holds each config's grid, or one grid that every config shares."""
-        _require_trust(kind)
         self.kind = kind
         self.lam, self.sizes, self.entries = lam, np.broadcast_to(sizes, entries.shape[:2]), entries
         policy = PolicySpec(kind)
@@ -137,9 +128,10 @@ class CubeFamily:
         m2 = a2 + d2 * bs
         rho = lam * (a1 + d1 * bs)
         n = self.sizes.shape[1]
-        # u[i, w - 1]: a size-z_i job whose final rank is w, for w = 1..n+1
-        u = _level_response(lam, m2, rho, self.sizes[rows].T[:, None, :, None],
-                            np.arange(1, n + 2))
+        # u[i, w - 1]: a size-z_i job whose final rank is w, for w = 1..n+1 (the formula above)
+        w, size = np.arange(1, n + 2), self.sizes[rows].T[:, None, :, None]
+        u = (lam * m2[w] / (2.0 * (1.0 - rho[w - 1]) * (1.0 - rho[w]))
+             + size / (1.0 - rho[w - 1]))
         U = u[np.arange(n)[:, None], self.final[:, :, 0] - 1]
         # only a cell the coin moves is blended; every other keeps its value exactly
         i, k = self.moved
@@ -174,7 +166,7 @@ def estimate_means(M: np.ndarray, U: np.ndarray) -> np.ndarray:
 
 
 def relevant_size_moments(config: SystemConfig, kind: Policy, b: float) -> MomentTable:
-    """Relevant-size moment table for the given trust policy and punishment b."""
+    """Relevant-size moment table for the given policy and punishment b."""
     a1, d1, a2, d2 = (a[0] for a in CubeFamily([config], kind).coeffs)
     m1 = a1 + b * d1
     return MomentTable(kind=kind, b=float(b), m1=m1, m2=a2 + b * d2, rho=config.lam * m1)
@@ -235,7 +227,7 @@ def response_table(config: SystemConfig, kind: Policy, b: float) -> ResponseTabl
     M = config.matrix.entries
     return ResponseTable(
         kind=kind, b=float(b), U=U[:, :, 0], u_punished=Upun[:, :, 0], u_unpunished=Uunp[:, :, 0],
-        T=estimate_means(M, U)[:, :, 0], overall=float(overall_curve(config, kind, [b])[0]),
+        T=estimate_means(M, U)[:, :, 0], overall=float(np.einsum("ij,ijb->b", M, U)[0]),
         undefined_estimates=tuple(np.flatnonzero(M.sum(axis=0) == 0).tolist()),
     )
 
@@ -248,7 +240,6 @@ def overall_curve(config: SystemConfig, kind: Policy, bs) -> np.ndarray:
 
 def rank_function(grid, kind: Policy, k: int, punished: bool, age: float) -> int:
     """Current rank (1..n+1) of a job declaring index k at the given age, from its rank path."""
-    _require_trust(kind)
     n = len(grid.sizes)
     if not 0 <= k < n:
         raise ValueError(f"declared index {k} out of range for n={n}")
@@ -259,22 +250,15 @@ def rank_function(grid, kind: Policy, k: int, punished: bool, age: float) -> int
 
 
 def fcfs_mean_response(config: SystemConfig) -> float:
-    """First-come first-served mean response (single-queue identity)."""
-    rho = config.load
-    return config.mean_size + config.lam * config.mean_size_sq / (2.0 * (1.0 - rho))
+    """First-come first-served mean response: the FCFS cube's E[T] (at any b)."""
+    return response_table(config, Policy.FCFS, 0.0).overall
 
 
 def scf_mean_response(config: SystemConfig) -> tuple[float, np.ndarray]:
-    """Smallest Class First: overall and per-true-size mean responses.
+    """Smallest Class First: overall and per-true-size mean responses, from its cube.
 
-    SCF serves the job whose smallest still-possible size is least, i.e.
-    blind rank = min {ell : age < z_ell}.  Its rank path gives a size-z_i
-    job final rank i + 1 and service min(z_i, z_ell) at ranks <= ell.
+    SCF serves the job whose smallest still-possible size is least, so a
+    size-z_i job ends at rank i + 1 whatever it declares.
     """
-    xle, final = rank_path_table(PolicySpec(Policy.SCF), config.sizes)
-    S = config.matrix.size_marginal
-    rows = xle[:, 0, 0].T.copy()     # (ell, i): one contiguous row per rank level
-    m1 = np.vecdot(rows, S)
-    m2 = np.vecdot(rows**2, S)
-    per_size = _level_response(config.lam, m2, config.lam * m1, config.sizes, final[:, 0, 0])
-    return float(S @ per_size), per_size
+    table = response_table(config, Policy.SCF, 0.0)
+    return table.overall, table.U[:, 0]

@@ -76,6 +76,19 @@ def test_malformed_config_exits_1(tmp_path, capsys):
     code, _, err = run(["analyze", "--config", str(path)], capsys)
     assert code == 1
     assert "error" in err
+    # wrong JSON types, and NaN, which json reads and which compares False
+    two = '"lambda": 0.1, "sizes": [1, 2]'
+    for text, command in (
+            ("[1, 2]", ["analyze"]),
+            ('{"lambda": null, "sizes": [1, 2], "size_probs": [0.5, 0.5]}', ["analyze"]),
+            ('{%s, "size_probs": [0.5, 0.5], "error_rate": null}' % two, ["analyze"]),
+            ('{%s, "matrix": [[NaN, 0], [0, 1]]}' % two, ["analyze"]),
+            ('{%s, "matrix": [[NaN, 0], [0, 1]]}' % two, ["ic-region"]),
+            ('{%s, "size_probs": [NaN, 1]}' % two, ["analyze", "--policy", "fcfs"])):
+        path.write_text(text)
+        code, out, err = run(command + ["--config", str(path)], capsys)
+        assert code == 1, text
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, text
 
 
 def test_overloaded_config_exits_2(tmp_path, capsys):

@@ -16,7 +16,7 @@ from trustqueue.experiments import (CURVE_HEADER, SWEEP_HEADER, _best_b, _best_b
 from trustqueue.incentives import _ic_regions, ic_check, ic_indicator, ic_region
 from trustqueue.model import (ConfigError, MatrixNotNormalizedError, OverloadedError, Policy,
                               SizeGrid, SystemConfig, uniform_error_entries, uniform_error_matrix)
-from trustqueue.soap import CubeFamily, overall_curve
+from trustqueue.soap import CubeFamily, fcfs_mean_response, overall_curve, scf_mean_response
 
 MT = Policy.MEASURED_TRUST
 BT = Policy.BLIND_TRUST
@@ -112,6 +112,21 @@ def test_error_sweep_script_writes_the_sweep_and_both_charts(tmp_path, monkeypat
     assert (tmp_path / "sweep.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
     assert "  measured trust feasible up to x = 0.04\n" in out
     assert "  blind trust feasible up to x = 0.04\n" in out
+
+
+def test_three_class_script_prints_the_library_baselines(monkeypatch, capsys):
+    script = Path(__file__).parents[1] / "scripts" / "run_three_class_analysis.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--jobs", "4000", "--reps", "2",
+                                      "--workers", "1"])
+    runpy.run_path(str(script), run_name="__main__")
+    out = capsys.readouterr().out
+    config = three_class_example()
+    assert f"FCFS mean response: {fcfs_mean_response(config):.4f}\n" in out
+    assert f"SCF mean response:  {scf_mean_response(config)[0]:.4f}  " in out
+    # at this size the simulation's ok/MISMATCH flags are noise; only the lines are checked
+    checks = out.split("simulation cross-checks:\n")[1].splitlines()
+    assert [line.split()[0] for line in checks] == ["FCFS", "MT", "BT", "SCF"]
+    assert all(" analytic " in line and " sim " in line for line in checks)
 
 
 def test_curve_baselines_and_feasibility():

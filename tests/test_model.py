@@ -43,6 +43,12 @@ def test_negative_entry_rejected():
     bad[0, 0] += 0.06
     with pytest.raises(NegativeEntryError):
         SizeEstimateMatrix(bad)
+    # NaN compares False against both the sign and the normalization checks
+    bad[0, 1] = np.nan
+    with pytest.raises(NegativeEntryError, match="got nan"):
+        SizeEstimateMatrix(bad)
+    with pytest.raises(NegativeEntryError, match="got nan"):
+        uniform_error_matrix([np.nan, 1.0], SizeGrid([1, 2]), 0.1)
 
 
 @pytest.mark.parametrize("sizes", [[2, 1, 3], [1, 1, 2], [0, 1, 2], [-1, 1, 2]])

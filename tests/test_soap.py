@@ -7,6 +7,7 @@ import reference
 from conftest import random_config
 from trustqueue import rank_boundaries
 from trustqueue.experiments import four_class_example, rare_long_job_example, three_class_example
+from trustqueue.incentives import ic_check, ic_region
 from trustqueue.model import (ConfigError, Policy, PolicySpec, SizeGrid, diagonal_matrix,
                              validate_config)
 from trustqueue.soap import (CubeFamily, estimate_means, fcfs_mean_response, mean_response_u,
@@ -273,6 +274,26 @@ def test_scf_matches_reference(seed):
     ref_overall, ref_per_size = reference.scf(config)
     assert overall == pytest.approx(ref_overall, rel=1e-12)
     np.testing.assert_allclose(per_size, ref_per_size, rtol=1e-12)
+    # FCFS against the Pollaczek-Khinchine mean E[S] + lam E[S^2] / (2 (1 - rho))
+    S, z = config.matrix.size_marginal, config.sizes
+    es, es2 = float(S @ z), float(S @ z**2)
+    pk = es + config.lam * es2 / (2.0 * (1.0 - config.lam * es))
+    assert fcfs_mean_response(config) == pytest.approx(pk, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", [Policy.FCFS, Policy.SCF])
+def test_blind_policies_through_the_cube(kind):
+    # the punishment coin moves no blind job, so U depends only on the true size
+    for config in (three_class_example(), four_class_example(), rare_long_job_example()):
+        mean = fcfs_mean_response(config) if kind == Policy.FCFS else scf_mean_response(config)[0]
+        U = response_table(config, kind, 0.0).U
+        assert (U == U[:, :1]).all()
+        for b in (0.37, 1.0):
+            table = response_table(config, kind, b)
+            assert (table.U == U).all() and table.overall == mean
+            assert np.isnan(table.u_punished).all() and np.isnan(table.u_unpunished).all()
+        assert (ic_check(config, kind, 0.5).deltas == 0.0).all()
+        assert [(iv.lo, iv.hi) for iv in ic_region(config, kind).intervals] == [(0.0, 1.0)]
 
 
 def test_rank_function_cases():
@@ -283,9 +304,13 @@ def test_rank_function_cases():
     assert rank_function(grid, MT, k=0, punished=True, age=1.5) == 4
     assert rank_function(grid, BT, k=0, punished=False, age=2.5) == 1
     assert rank_function(grid, BT, k=0, punished=True, age=2.5) == 4
+    for k in range(3):
+        for age, rank in ((0.5, 1), (1.5, 2), (2.5, 3)):
+            assert rank_function(grid, Policy.FCFS, k=k, punished=True, age=age) == 1
+            assert rank_function(grid, Policy.SCF, k=k, punished=False, age=age) == rank
 
 
-@given(st.integers(0, 2**31), st.booleans(), st.sampled_from([MT, BT]))
+@given(st.integers(0, 2**31), st.booleans(), st.sampled_from(list(Policy)))
 @settings(max_examples=40, deadline=None)
 def test_rank_function_monotone_in_age(seed, punished, kind):
     config = random_config(seed)
