@@ -41,8 +41,7 @@ def main() -> None:
         for b, m, t in zip(bs, row_mt, row_bt)))
     print(f"wrote {out / 'sweep.svg'}")
 
-    curve = experiments.optimal_b_curve(probs, grid, lam, x_step=x_step,
-                                        b_step=b_step, x_max=args.x_max)
+    curve = experiments.optimal_b_curve(probs, grid, lam, x_step=x_step, x_max=args.x_max)
     curve_csv = out / "curve.csv"
     experiments.write_curve_csv(curve, curve_csv)
     print(f"wrote {curve_csv}")

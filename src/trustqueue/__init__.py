@@ -14,8 +14,7 @@ from .model import (BadLambdaError, ConfigError, MatrixNotNormalizedError,
                     diagonal_matrix, load_config, uniform_error_matrix, validate_config)
 from .ranks import rank_boundaries
 from .sim import SimConfig, SimEstimate, SimResult, simulate
-from .soap import (MomentTable, ResponseTable, fcfs_mean_response, mean_response_u,
-                   overall_curve, rank_function, relevant_size_moments, response_table,
-                   scf_mean_response)
+from .soap import (MomentTable, ResponseTable, fcfs_mean_response, overall_curve,
+                   rank_function, relevant_size_moments, response_table, scf_mean_response)
 
 __version__ = "0.1.0"

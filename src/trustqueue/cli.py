@@ -22,21 +22,23 @@ POLICIES = {p.value: p for p in Policy}
 
 
 def _config_from_args(args):
-    if getattr(args, "config", None):
+    name = args.preset or "three-class"
+    if args.error_rate is not None and (args.config or name != "four-class"):
+        raise ConfigError("--error-rate applies only to the four-class preset")
+    if args.config:
         return load_config(args.config)
-    name = getattr(args, "preset", None) or "three-class"
     if name not in experiments.PRESETS:
         raise ConfigError(f"unknown preset {name!r}; see 'trustqueue preset list'")
-    if name == "four-class":
-        return experiments.four_class_example(getattr(args, "error_rate", 0.1))
+    if name == "four-class" and args.error_rate is not None:
+        return experiments.four_class_example(args.error_rate)
     return experiments.PRESETS[name]()
 
 
 def _family_from_args(args):
-    if getattr(args, "config", None):
+    if args.config:
         cfg = load_config(args.config)
         return cfg.matrix.size_marginal, cfg.grid, cfg.lam
-    name = getattr(args, "preset", None) or "four-class"
+    name = args.preset or "four-class"
     if name == "four-class":
         return experiments.four_class_family()
     if name not in experiments.PRESETS:
@@ -85,17 +87,14 @@ def cmd_ic_region(args) -> int:
     if not kind.uses_estimates:
         print("ic-region applies to the trust policies (mt, bt)", file=sys.stderr)
         return 1
-    region = ic_region(config, kind, grid_step=args.b_step, tol_b=args.tol_b)
-    social = [(baseline, social_benefit_region(config, kind, baseline,
-                                               grid_step=args.b_step, tol_b=args.tol_b))
+    region = ic_region(config, kind)
+    social = [(baseline, social_benefit_region(config, kind, baseline))
               for baseline in (Policy.FCFS, Policy.SCF)]
     if region.is_empty:
         print("incentive compatible region: empty")
     else:
         spans = ", ".join(f"[{iv.lo:.4f}, {iv.hi:.4f}]" for iv in region.intervals)
         print(f"incentive compatible region: {spans}")
-    print(f"  (exact endpoints: --b-step {region.grid_step:g} and --tol-b {region.tol_b:g} "
-          f"do not change this region or the ones below)")
     for baseline, sb in social:
         spans = ("empty" if sb.is_empty else
                  ", ".join(f"[{iv.lo:.4f}, {iv.hi:.4f}]" for iv in sb.intervals))
@@ -118,8 +117,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_curve(args) -> int:
     probs, grid, lam = _family_from_args(args)
-    rows = experiments.optimal_b_curve(probs, grid, lam, x_step=args.x_step,
-                                       b_step=args.b_step, x_max=args.x_max)
+    rows = experiments.optimal_b_curve(probs, grid, lam, x_step=args.x_step, x_max=args.x_max)
     experiments.write_curve_csv(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
@@ -203,12 +201,16 @@ def cmd_preset(args) -> int:
     return 0
 
 
-def _add_config_options(p, default_preset=None):
+def _add_config_options(p, default_preset):
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--preset", default=default_preset,
                    help="built-in preset name (see 'preset list')")
-    p.add_argument("--error-rate", type=float, default=0.1,
-                   help="error rate for the four-class preset")
+
+
+def _add_single_config_options(p):
+    _add_config_options(p, "three-class")
+    p.add_argument("--error-rate", type=float,
+                   help="error rate of the four-class preset (default 0.1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -219,16 +221,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="closed-form response tables and IC verdict")
-    _add_config_options(p, "three-class")
+    _add_single_config_options(p)
     p.add_argument("--policy", choices=list(POLICIES), default="mt")
     p.add_argument("--b", type=float, default=0.0, help="punishment probability")
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("ic-region", help="incentive compatible punishment region")
-    _add_config_options(p, "three-class")
+    _add_single_config_options(p)
     p.add_argument("--policy", choices=["mt", "bt"], default="mt")
-    p.add_argument("--b-step", type=float, default=1e-3)
-    p.add_argument("--tol-b", type=float, default=1e-6)
     p.set_defaults(fn=cmd_ic_region)
 
     p = sub.add_parser("sweep", help="(error rate, b) incentive sweep to CSV")
@@ -242,13 +242,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("curve", help="best-b mean response curve to CSV")
     _add_config_options(p, "four-class")
     p.add_argument("--x-step", type=float, default=0.005)
-    p.add_argument("--b-step", type=float, default=0.001)
     p.add_argument("--x-max", type=float, default=1.0)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_curve)
 
     p = sub.add_parser("simulate", help="sample-path simulation with 95%% CIs")
-    _add_config_options(p, "three-class")
+    _add_single_config_options(p)
     p.add_argument("--policy", choices=list(POLICIES), default="mt")
     p.add_argument("--b", type=float, default=0.0)
     p.add_argument("--jobs", type=int, default=100_000)

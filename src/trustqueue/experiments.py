@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .incentives import DEFAULT_TOL, DEFAULT_TOL_B, _check_tol_b, _deltas, _feasible, _ic_regions
+from .incentives import DEFAULT_TOL, _check_step, _deltas, _feasible, _ic_regions
 from .incentives import ic_region  # noqa: F401  (perfbench's tracer rebinds experiments.ic_region)
 from .model import (Policy, SizeGrid, SizeEstimateMatrix, SystemConfig,
                     diagonal_matrix, uniform_error_entries, uniform_error_matrix)
@@ -141,8 +141,7 @@ def sweep_region(size_probs, grid: SizeGrid, lam: float,
     return Sweep(xs, bs, ok[0], ok[1], et[0], et[1])
 
 
-def _best_bs(family: CubeFamily, b_step: float,
-             tol_b: float) -> list[tuple[float, float] | None]:
+def _best_bs(family: CubeFamily) -> list[tuple[float, float] | None]:
     """(best b, E[T]) of each config of the family, or None where its region is empty.
 
     E[T] is smooth on [0, 1], so its minimum over an interval lies at an
@@ -152,7 +151,7 @@ def _best_bs(family: CubeFamily, b_step: float,
     interval, sorted, are evaluated in one cube that also gives the
     reported E[T], equal to overall_curve's.  Ties go to the smallest b.
     """
-    regions = _ic_regions(family, grid_step=b_step, tol_b=tol_b)
+    regions = _ic_regions(family)
     owner = np.array([c for c, region in enumerate(regions) for _ in region.intervals], dtype=int)
     best = [None] * len(family)
     if not owner.size:
@@ -173,12 +172,13 @@ def _best_bs(family: CubeFamily, b_step: float,
 
 def _best_b(config: SystemConfig, kind: Policy, b_step: float,
             tol_b: float) -> tuple[float, float] | None:
-    return _best_bs(CubeFamily([config], kind), b_step, tol_b)[0]
+    # tests/test_acceptance.py passes b_step and tol_b; neither shapes the result
+    return _best_bs(CubeFamily([config], kind))[0]
 
 
 def optimal_b_curve(size_probs, grid: SizeGrid, lam: float,
                     x_step: float = 0.005, b_step: float = 0.001,
-                    x_max: float = 1.0, tol_b: float = DEFAULT_TOL_B) -> list[CurveRow]:
+                    x_max: float = 1.0) -> list[CurveRow]:
     """Per error rate: the IC-region punishment minimizing overall E[T].
 
     Every error rate's search runs in lockstep with the others, for each
@@ -186,11 +186,11 @@ def optimal_b_curve(size_probs, grid: SizeGrid, lam: float,
     at once; one config, at x = 0, is validated.  Blind baseline columns
     are x-independent since neither FCFS nor SCF reads estimates.
     """
-    _check_tol_b(tol_b)
     base_cfg, xs, entries = _error_family(size_probs, grid, lam, x_step, x_max)
+    _check_step(b_step)     # perfbench/workloads.py passes b_step=
     et_fcfs = fcfs_mean_response(base_cfg)
     et_scf, _ = scf_mean_response(base_cfg)
-    best = {kind: _best_bs(CubeFamily.from_arrays(kind, lam, grid.sizes, entries), b_step, tol_b)
+    best = {kind: _best_bs(CubeFamily.from_arrays(kind, lam, grid.sizes, entries))
             for kind in (MT, BT)}
     return [CurveRow(
         x=float(x),

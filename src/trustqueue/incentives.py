@@ -22,13 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Policy, SystemConfig, check_punishment
+from .model import Policy, SystemConfig
 from .numerators import Numerators, benefit, certified_empty, roots, sign
 from .soap import CubeFamily, estimate_means, overall_curve, response_cube
 
 DEFAULT_TOL = 1e-9      # slack on delta >= 0, in time units
-DEFAULT_GRID = 1e-3     # b step a search accepts; validated, changes no result
-DEFAULT_TOL_B = 1e-6    # b tolerance a search accepts; validated, changes no result
+DEFAULT_GRID = 1e-3     # b step ic_region accepts; validated, changes no result
+DEFAULT_TOL_B = 1e-6    # b tolerance ic_region accepts; validated, changes no result
 
 
 class UndefinedColumnError(ValueError):
@@ -61,12 +61,13 @@ class BInterval:
 class BIntervalSet:
     """Disjoint sorted closed subintervals of [0, 1], exact.
 
-    grid_step and tol_b record the caller's search inputs; they shape no interval.
+    grid_step and tol_b record ic_region's inputs, and are the defaults
+    elsewhere; they shape no interval.  perfbench/workloads.py reads tol_b.
     """
 
     intervals: tuple[BInterval, ...]
-    grid_step: float
-    tol_b: float
+    grid_step: float = DEFAULT_GRID
+    tol_b: float = DEFAULT_TOL_B
 
     @property
     def is_empty(self) -> bool:
@@ -111,7 +112,6 @@ def ic_indicator(config: SystemConfig, kind: Policy, bs, tol: float = DEFAULT_TO
 
 def ic_check(config: SystemConfig, kind: Policy, b: float, tol: float = DEFAULT_TOL) -> ICReport:
     """Exact incentive check at one punishment probability."""
-    check_punishment(b)
     d = delta_grid(config, kind, np.array([b]))[:, :, 0]
     return ICReport(kind=kind, b=float(b), tol=tol, deltas=d, violations=_violations(d, tol))
 
@@ -124,16 +124,16 @@ def _violations(d: np.ndarray, tol: float) -> tuple[tuple[int, int, float], ...]
     return tuple(sorted(found, key=lambda v: v[2]))
 
 
-def pair_threshold(config: SystemConfig, kind: Policy, j: int, k: int,
-                   tol_b: float = DEFAULT_TOL_B, grid_step: float = DEFAULT_GRID) -> list[float]:
-    """Roots of b -> delta[j][k](b) in [0, 1]; grid_step and tol_b are only validated.
+def pair_threshold(config: SystemConfig, kind: Policy, j: int, k: int) -> list[float]:
+    """Roots of b -> delta[j][k](b) in [0, 1].
 
     They are the sign changes of the pair's numerator (numerators.roots),
     and b = 0 or b = 1 where delta is exactly 0 there.  A root no certain
     sign separates from such a zero end is that zero's rounding, not a root.
     """
-    _check_step(grid_step)
-    _check_tol_b(tol_b)
+    for name, index in (("j", j), ("k", k)):
+        if not 0 <= index < config.n:
+            raise ValueError(f"{name} = {index} out of range for n={config.n}")
     if config.matrix.estimate_marginal[j] <= 0:
         raise UndefinedColumnError(f"estimate class {j} has zero probability")
     if j == k:
@@ -152,24 +152,14 @@ def _check_step(grid_step: float) -> None:
         raise ValueError(f"b step must be in (0, 1], got {grid_step:g}")
 
 
-def _check_tol_b(tol_b: float) -> None:
-    """Reject a b tolerance that is not finite and positive."""
-    if not (np.isfinite(tol_b) and tol_b > 0.0):
-        raise ValueError(f"b tolerance must be finite and positive, got {tol_b:g}")
-
-
-def _ic_regions(family: CubeFamily, grid_step: float = DEFAULT_GRID,
-                tol_b: float = DEFAULT_TOL_B, tol: float = DEFAULT_TOL) -> list[BIntervalSet]:
-    """ic_region of every config of the family; grid_step and tol_b are only validated."""
-    _check_step(grid_step)
-    _check_tol_b(tol_b)
+def _ic_regions(family: CubeFamily, tol: float = DEFAULT_TOL) -> list[BIntervalSet]:
+    """ic_region of every config of the family."""
     num = Numerators(family, tol)
 
     def passes(rows, bs):       # ic_check's rule, from one cube
         return _feasible(_deltas(family.entries[rows], family.cube(rows, bs[:, None])), tol)[:, 0]
 
-    regions = _regions(num.coef, num.owner, len(family), passes)
-    return [BIntervalSet(intervals=ivs, grid_step=grid_step, tol_b=tol_b) for ivs in regions]
+    return [BIntervalSet(ivs) for ivs in _regions(num.coef, num.owner, len(family), passes)]
 
 
 def _regions(coef: np.ndarray, owner: np.ndarray, count: int,
@@ -231,19 +221,22 @@ def _snap(passes, rows: np.ndarray, ends: np.ndarray, toward: np.ndarray) -> np.
 def ic_region(config: SystemConfig, kind: Policy,
               grid_step: float = DEFAULT_GRID, tol_b: float = DEFAULT_TOL_B,
               tol: float = DEFAULT_TOL) -> BIntervalSet:
-    """All punishment probabilities where the policy is incentive compatible."""
-    return _ic_regions(CubeFamily([config], kind), grid_step, tol_b, tol)[0]
+    """All punishment probabilities where the policy is incentive compatible.
+
+    grid_step and tol_b are validated and recorded in the result; they shape no interval.
+    """
+    _check_step(grid_step)      # perfbench/workloads.py passes grid_step=
+    if not (np.isfinite(tol_b) and tol_b > 0.0):
+        raise ValueError(f"b tolerance must be finite and positive, got {tol_b:g}")
+    (region,) = _ic_regions(CubeFamily([config], kind), tol)
+    return BIntervalSet(region.intervals, grid_step, tol_b)
 
 
-def social_benefit_region(config: SystemConfig, kind: Policy, baseline: Policy,
-                          grid_step: float = DEFAULT_GRID,
-                          tol_b: float = DEFAULT_TOL_B) -> BIntervalSet:
+def social_benefit_region(config: SystemConfig, kind: Policy, baseline: Policy) -> BIntervalSet:
     """Punishment probabilities where the trust policy's E[T] is at most a blind baseline's.
 
-    grid_step and tol_b are only validated; E[T] <= target holds exactly at every endpoint.
+    E[T] <= target holds exactly at every endpoint.
     """
-    _check_step(grid_step)
-    _check_tol_b(tol_b)
     if baseline.uses_estimates:
         raise ValueError(f"baseline must be a blind policy, got {baseline}")
     target = float(overall_curve(config, baseline, [0.0])[0])
@@ -253,4 +246,4 @@ def social_benefit_region(config: SystemConfig, kind: Policy, baseline: Policy,
         return target - family.overall(rows, bs[:, None])[:, 0] >= 0.0
 
     (intervals,) = _regions(benefit(family, target), np.zeros(1, dtype=int), 1, passes)
-    return BIntervalSet(intervals=intervals, grid_step=grid_step, tol_b=tol_b)
+    return BIntervalSet(intervals)

@@ -145,9 +145,9 @@ class SystemConfig:
         return self.lam * self.mean_size
 
 
-def check_punishment(b: float) -> None:
-    """Raise ConfigError unless b is a punishment probability in [0, 1] (NaN is not)."""
-    if not (0.0 <= b <= 1.0):
+def check_punishment(b) -> None:
+    """Raise ConfigError unless b, a number or array, is in [0, 1] (NaN is not)."""
+    if not np.all((0 <= b) & (b <= 1)):
         raise ConfigError(f"punishment probability must be in [0, 1], got {b}")
 
 

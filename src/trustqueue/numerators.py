@@ -51,11 +51,11 @@ class Numerators:
         n = family.sizes.shape[1]
         defined = family.entries.sum(axis=1) > 0      # estimate classes with probability
         self.owner, self.js, self.ks = np.nonzero(defined[:, :, None] & ~np.eye(n, dtype=bool))
-        nodes = _lobatto(n + 2)
-        U = family.cube(np.arange(len(family)), np.broadcast_to(nodes, (len(family), n + 2)))
-        T = estimate_means(family.entries, U)
+        rows = np.arange(len(family))
+        nodes = np.broadcast_to(_lobatto(n + 2), (len(family), n + 2))
+        T = estimate_means(family.entries, family.cube(rows, nodes))
         Tk, Tj = T[self.owner, self.js, self.ks], T[self.owner, self.js, self.js]
-        product = _denominator(family, nodes)[self.owner]
+        product = _denominator(family, rows, nodes)[self.owner]
         threshold = _KAPPA * np.max((Tk + Tj + tol) * product, axis=1)
         # delta + tol as ic_check's rule computes it, at each node
         self.coef = _interpolate((Tk - Tj + tol) * product) / threshold[:, None]
@@ -173,9 +173,9 @@ def _refine(coef: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 def _mean_at_nodes(family: CubeFamily, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """E[T] and prod (1 - rho) of configs rows at the n + 2 nodes: two (R, n + 2) arrays."""
-    nodes = _lobatto(family.sizes.shape[1] + 2)
-    product = _denominator(family, nodes)[rows]
-    return family.overall(rows, np.broadcast_to(nodes, product.shape)), product
+    n = family.sizes.shape[1]
+    nodes = np.broadcast_to(_lobatto(n + 2), (len(rows), n + 2))
+    return family.overall(rows, nodes), _denominator(family, rows, nodes)
 
 
 def _value(coef: np.ndarray, bs: np.ndarray) -> np.ndarray:
@@ -203,12 +203,10 @@ def _interpolate(values: np.ndarray) -> np.ndarray:
     return _dot(values[:, None], to_coef)
 
 
-def _denominator(family: CubeFamily, bs: np.ndarray) -> np.ndarray:
-    """prod_{ell=1..n} (1 - rho_ell(b)) of every config at bs, shape (C, len(bs)); positive on [0, 1]."""
-    n = family.sizes.shape[1]
-    a1, d1 = family.coeffs[0][:, 1:n + 1], family.coeffs[1][:, 1:n + 1]
-    rho = family.lam[:, None, None] * (a1[:, :, None] + d1[:, :, None] * bs)
-    return np.prod(1.0 - rho, axis=1)
+def _denominator(family: CubeFamily, rows, bs: np.ndarray) -> np.ndarray:
+    """prod_{ell=1..n} (1 - rho_ell(b)) of configs rows at bs[r]: (R, B), positive on [0, 1]."""
+    _, _, rho = family.moments(rows, bs)
+    return np.prod(1.0 - rho[1:-1], axis=0)
 
 
 def _certain(q: np.ndarray) -> np.ndarray:

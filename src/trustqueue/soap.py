@@ -75,11 +75,12 @@ class CubeFamily:
     """The cube formula's inputs for configs of one size n, stacked on a leading axis.
 
     The moment coefficients of each config are built once, here, so a
-    lockstep search over the whole family costs one cube per step.  coeffs
-    holds (a1, d1, a2, d2), each (C, n+2), with m1[ell](b) = a1[ell] + b
-    d1[ell] and m2 likewise; final[i, k, coin] is the final rank, which
-    strictly increasing sizes make the same for every config, and moved
-    indexes the cells (i, k) whose final rank the punishment coin changes.
+    lockstep search over the whole family costs one cube per step.  coeffs,
+    of shape (4, C, n+2), holds a1, d1, a2, d2, with m1[ell](b) = a1[ell] + b
+    d1[ell] and m2 likewise; moments is the only code that combines them
+    with b.  final[i, k, coin] is the final rank, which strictly increasing
+    sizes make the same for every config, and moved indexes the cells
+    (i, k) whose final rank the punishment coin changes.
     """
 
     def __init__(self, configs, kind: Policy):
@@ -109,10 +110,16 @@ class CubeFamily:
         # the spared and punished planes, each C-contiguous in (ell, i, k)
         xle = np.array([xle for xle, _ in tables])
         v0, v1 = np.ascontiguousarray(xle.transpose(3, 0, 4, 1, 2))
-        self.coeffs = tuple(_rank_sums(entries, v) for v in (v0, v1 - v0, v0**2, v1**2 - v0**2))
+        self.coeffs = _rank_sums(entries, np.array((v0, v1 - v0, v0**2, v1**2 - v0**2)))
 
     def __len__(self) -> int:
         return len(self.lam)
+
+    def moments(self, rows, bs: np.ndarray):
+        """(m1, m2, rho) of configs rows, row r at its own b values bs[r]: each (n+2, R, B)."""
+        a1, d1, a2, d2 = self.coeffs[:, rows].transpose(0, 2, 1)[..., None]
+        m1 = a1 + d1 * bs
+        return m1, a2 + d2 * bs, self.lam[rows][:, None] * m1
 
     def _cube(self, rows, bs: np.ndarray):
         """The cube formula for configs rows, row r at its own b values bs[r].
@@ -123,10 +130,8 @@ class CubeFamily:
         with the coin up and down.  The (R, B) axes trail, so each array
         operation runs over all of them at once.
         """
-        a1, d1, a2, d2 = (a[rows].T[:, :, None] for a in self.coeffs)
+        _, m2, rho = self.moments(rows, bs)
         lam = self.lam[rows][:, None]
-        m2 = a2 + d2 * bs
-        rho = lam * (a1 + d1 * bs)
         n = self.sizes.shape[1]
         # u[i, w - 1]: a size-z_i job whose final rank is w, for w = 1..n+1 (the formula above)
         w, size = np.arange(1, n + 2), self.sizes[rows].T[:, None, :, None]
@@ -167,9 +172,9 @@ def estimate_means(M: np.ndarray, U: np.ndarray) -> np.ndarray:
 
 def relevant_size_moments(config: SystemConfig, kind: Policy, b: float) -> MomentTable:
     """Relevant-size moment table for the given policy and punishment b."""
-    a1, d1, a2, d2 = (a[0] for a in CubeFamily([config], kind).coeffs)
-    m1 = a1 + b * d1
-    return MomentTable(kind=kind, b=float(b), m1=m1, m2=a2 + b * d2, rho=config.lam * m1)
+    check_punishment(b)
+    m1, m2, rho = (m[:, 0, 0] for m in CubeFamily([config], kind).moments([0], np.full((1, 1), b)))
+    return MomentTable(kind=kind, b=float(b), m1=m1, m2=m2, rho=rho)
 
 
 def response_cube(config: SystemConfig, kind: Policy, bs: np.ndarray):
@@ -179,27 +184,12 @@ def response_cube(config: SystemConfig, kind: Policy, bs: np.ndarray):
     so the punishment coin never matters).
     """
     bs = np.atleast_1d(np.asarray(bs, dtype=float))
+    check_punishment(bs)
     family = CubeFamily([config], kind)
     U, punished, spared = family._cube([0], bs[None])
     Upun, Uunp = np.full((2,) + U.shape, np.nan)
     Upun[family.moved], Uunp[family.moved] = punished, spared
     return U[:, :, 0], Upun[:, :, 0], Uunp[:, :, 0]
-
-
-@dataclass(frozen=True)
-class UCell:
-    unconditional: float
-    punished: float | None
-    unpunished: float | None
-
-
-def mean_response_u(config: SystemConfig, kind: Policy, b: float, i: int, k: int) -> UCell:
-    """Mean response for a true-size-z_i job declaring z_k (0-based i, k)."""
-    check_punishment(b)
-    U, Upun, Uunp = response_cube(config, kind, np.array([b]))
-    if i <= k:
-        return UCell(float(U[i, k, 0]), None, None)
-    return UCell(float(U[i, k, 0]), float(Upun[i, k, 0]), float(Uunp[i, k, 0]))
 
 
 @dataclass(frozen=True)
@@ -222,7 +212,6 @@ class ResponseTable:
 
 
 def response_table(config: SystemConfig, kind: Policy, b: float) -> ResponseTable:
-    check_punishment(b)
     U, Upun, Uunp = response_cube(config, kind, np.array([b]))
     M = config.matrix.entries
     return ResponseTable(

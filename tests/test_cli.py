@@ -123,7 +123,7 @@ def test_ic_region_output(capsys):
 @pytest.mark.parametrize("argv", [
     ["sweep", "--x-step", "0"],
     ["sweep", "--b-step", "-0.01"],
-    ["curve", "--b-step", "2"],
+    ["curve", "--x-step", "2"],
     ["curve", "--x-step", "nan"],
 ])
 def test_grid_step_outside_unit_interval_exits_1(argv, tmp_path, capsys):
@@ -153,7 +153,7 @@ def test_grid_step_that_does_not_divide_the_range_exits_1(argv, message, tmp_pat
 @pytest.mark.parametrize("x_max", ["inf", "nan", "-1", "1.5"])
 def test_x_max_outside_unit_interval_exits_1(command, x_max, tmp_path, capsys):
     out_csv = tmp_path / "out.csv"
-    code, out, err = run([command, "--x-step", "0.1", "--b-step", "0.05", f"--x-max={x_max}",
+    code, out, err = run([command, "--x-step", "0.1", f"--x-max={x_max}",
                           "--out", str(out_csv)], capsys)
     assert code == 1
     assert out == ""
@@ -161,31 +161,24 @@ def test_x_max_outside_unit_interval_exits_1(command, x_max, tmp_path, capsys):
     assert not out_csv.exists()
 
 
-def test_ic_region_says_steps_leave_the_region_unchanged(capsys):
-    outputs = [run(["ic-region", "--preset", "three-class", "--policy", "bt"] + extra, capsys)[1]
-               for extra in ([], ["--b-step", "0.01", "--tol-b", "1e-3"])]
-    note = "--b-step 0.01 and --tol-b 0.001 do not change this region or the ones below"
-    assert note in outputs[1]
-    assert [line for line in outputs[0].splitlines() if "(exact endpoints:" not in line] == \
-        [line for line in outputs[1].splitlines() if "(exact endpoints:" not in line]
-
-
-@pytest.mark.parametrize("policy", ["mt", "bt"])
-def test_ic_region_rejects_zero_b_step(policy, capsys):
-    code, out, err = run(["ic-region", "--preset", "three-class", "--policy", policy,
-                          "--b-step", "0"], capsys)
+@pytest.mark.parametrize("command", ["analyze", "ic-region", "simulate"])
+@pytest.mark.parametrize("source", [["--preset", "three-class"], ["--preset", "two-class-rare"],
+                                    ["--preset", "four-class", "--config", "CONFIG"]])
+def test_error_rate_outside_the_four_class_preset_exits_1(command, source, tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(THREE_CLASS))
+    argv = [command] + [str(path) if a == "CONFIG" else a for a in source] + ["--error-rate", "5"]
+    code, out, err = run(argv, capsys)
     assert code == 1
     assert out == ""
-    assert "step must be in (0, 1]" in err
+    assert err == "error: --error-rate applies only to the four-class preset\n"
 
 
-@pytest.mark.parametrize("tol_b", ["0", "-1", "nan", "inf"])
-def test_ic_region_rejects_bad_tol_b(tol_b, capsys):
-    code, out, err = run(["ic-region", "--preset", "three-class", "--policy", "bt",
-                          f"--tol-b={tol_b}"], capsys)
-    assert code == 1
-    assert out == ""
-    assert "b tolerance must be finite and positive" in err
+def test_four_class_error_rate_defaults_to_one_tenth(capsys):
+    code, default, _ = run(["ic-region", "--preset", "four-class"], capsys)
+    assert code == 0
+    assert run(["ic-region", "--preset", "four-class", "--error-rate", "0.1"], capsys)[1] == default
+    assert run(["ic-region", "--preset", "four-class", "--error-rate", "0.2"], capsys)[1] != default
 
 
 def test_ic_region_rejects_blind_policy(capsys):
@@ -208,8 +201,7 @@ def test_sweep_curve_plot_roundtrip(tmp_path, capsys):
     assert body.startswith("<svg") and "<rect" in body
 
     curve_csv = tmp_path / "curve.csv"
-    code, out, _ = run(["curve", "--preset", "four-class", "--x-step", "0.1",
-                        "--b-step", "0.02", "--x-max", "0.3",
+    code, out, _ = run(["curve", "--preset", "four-class", "--x-step", "0.1", "--x-max", "0.3",
                         "--out", str(curve_csv)], capsys)
     assert code == 0 and curve_csv.exists()
 
@@ -369,3 +361,25 @@ def test_help_lists_every_subcommand(capsys):
     for command in ("analyze", "ic-region", "sweep", "curve", "simulate", "plot", "preset"):
         assert command in out
     assert "sample-path simulation with 95% CIs" in out
+
+
+# every option each subcommand reads; an option its command ignores does not belong here
+OPTIONS = {
+    "analyze": {"--config", "--preset", "--error-rate", "--policy", "--b"},
+    "ic-region": {"--config", "--preset", "--error-rate", "--policy"},
+    "sweep": {"--config", "--preset", "--x-step", "--b-step", "--x-max", "--out"},
+    "curve": {"--config", "--preset", "--x-step", "--x-max", "--out"},
+    "simulate": {"--config", "--preset", "--error-rate", "--policy", "--b", "--jobs", "--reps",
+                 "--seed", "--probe-prob", "--warmup", "--workers", "--trace"},
+    "plot": {"--csv", "--out"},
+    "preset": set(),
+}
+
+
+@pytest.mark.parametrize("command", OPTIONS)
+def test_subcommand_help_lists_exactly_the_options_it_reads(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", capsys.readouterr().out))
+    assert listed == OPTIONS[command] | {"--help"}

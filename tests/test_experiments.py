@@ -238,7 +238,7 @@ def test_random_family_members_equal_lone_configs():
         for kind in (MT, BT):
             regions = _ic_regions(CubeFamily(configs, kind))
             for config, region, best in zip(configs, regions,
-                                            _best_bs(CubeFamily(configs, kind), 1e-3, 1e-6)):
+                                            _best_bs(CubeFamily(configs, kind))):
                 assert ic_region(config, kind) == region, (n, kind)
                 assert _best_b(config, kind, b_step=1e-3, tol_b=1e-6) == best, (n, kind)
 
@@ -319,11 +319,11 @@ def test_grids_accept_a_step_that_divides_the_range_up_to_rounding(step, upper, 
     assert len(xs) == count and xs[0] == 0.0 and xs[-1] == upper
 
 
-@pytest.mark.parametrize("tol_b", [0.0, -1.0, float("nan"), float("inf")])
-def test_curve_rejects_bad_tol_b(tol_b):
+@pytest.mark.parametrize("b_step", [0.0, -0.01, 2.0, float("nan")])
+def test_curve_rejects_a_b_step_outside_unit_interval(b_step):
     probs, grid, lam = four_class_family()
-    with pytest.raises(ValueError, match="b tolerance must be finite and positive"):
-        optimal_b_curve(probs, grid, lam, x_step=0.5, tol_b=tol_b)
+    with pytest.raises(ValueError, match=r"b step must be in \(0, 1\]"):
+        optimal_b_curve(probs, grid, lam, x_step=0.5, b_step=b_step)
 
 
 def _random_error_family(n: int, count: int, seed: int) -> list[SystemConfig]:
@@ -361,7 +361,7 @@ def test_best_b_is_no_worse_than_a_dense_reference_scan():
     for n in range(1, 7):
         configs = _random_error_family(n, 6, seed=n)
         for kind in (MT, BT):
-            for config, best in zip(configs, _best_bs(CubeFamily(configs, kind), 1e-3, 1e-6)):
+            for config, best in zip(configs, _best_bs(CubeFamily(configs, kind))):
                 _check_against_reference_scan(config, kind, best)
 
 

@@ -7,12 +7,12 @@ import reference
 from conftest import random_config
 from trustqueue import rank_boundaries
 from trustqueue.experiments import four_class_example, rare_long_job_example, three_class_example
-from trustqueue.incentives import ic_check, ic_region
+from trustqueue.incentives import delta_grid, ic_check, ic_indicator, ic_region
 from trustqueue.model import (ConfigError, Policy, PolicySpec, SizeGrid, diagonal_matrix,
                              validate_config)
-from trustqueue.soap import (CubeFamily, estimate_means, fcfs_mean_response, mean_response_u,
-                             overall_curve, rank_function, relevant_size_moments, response_cube,
-                             response_table, scf_mean_response)
+from trustqueue.soap import (CubeFamily, estimate_means, fcfs_mean_response, overall_curve,
+                             rank_function, relevant_size_moments, response_cube, response_table,
+                             scf_mean_response)
 
 MT = Policy.MEASURED_TRUST
 BT = Policy.BLIND_TRUST
@@ -184,13 +184,11 @@ def test_derivative_ordering_measured_trust(seed):
             assert np.all(slopes[:, k] >= slopes[:, k + 1] - 1e-9)
 
 
-def test_mean_response_u_conditionals(three_class):
-    cell = mean_response_u(three_class, MT, 0.43, i=2, k=0)
-    assert cell.punished is not None and cell.unpunished is not None
-    assert cell.unconditional == pytest.approx(
-        0.43 * cell.punished + 0.57 * cell.unpunished, rel=1e-12)
-    safe = mean_response_u(three_class, MT, 0.43, i=0, k=2)
-    assert safe.punished is None and safe.unpunished is None
+def test_response_table_conditionals(three_class):
+    table = response_table(three_class, MT, 0.43)
+    assert table.U[2, 0] == pytest.approx(
+        0.43 * table.u_punished[2, 0] + 0.57 * table.u_unpunished[2, 0], rel=1e-12)
+    assert np.isnan(table.u_punished[0, 2]) and np.isnan(table.u_unpunished[0, 2])
 
 
 def test_fcfs_three_class(three_class):
@@ -386,10 +384,13 @@ def test_zero_probability_estimate_column():
 
 @pytest.mark.parametrize("b", [float("nan"), -0.1, 1.5])
 def test_library_rejects_invalid_b(three_class, b):
-    with pytest.raises(ConfigError, match=r"punishment probability must be in \[0, 1\]"):
-        response_table(three_class, MT, b)
-    with pytest.raises(ConfigError, match=r"punishment probability must be in \[0, 1\]"):
-        mean_response_u(three_class, BT, b, 2, 0)
+    single = [response_table, relevant_size_moments]
+    grid = [response_cube, overall_curve, delta_grid, ic_indicator]
+    calls = [(f, b) for f in single] + [(f, bs) for f in grid for bs in ([b], [0.3, b, 0.7])]
+    for f, arg in calls:
+        for kind in (MT, BT):
+            with pytest.raises(ConfigError, match=r"punishment probability must be in \[0, 1\]"):
+                f(three_class, kind, arg)
 
 
 @pytest.mark.parametrize("kind", [Policy.MEASURED_TRUST, Policy.BLIND_TRUST])
