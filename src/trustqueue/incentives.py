@@ -105,13 +105,21 @@ def _feasible(d: np.ndarray, tol: float) -> np.ndarray:
     return ~(d < -tol).any(axis=(-3, -2))       # NaN (undefined) compares False
 
 
+def _check_tol(tol: float) -> None:
+    """Raise ValueError unless the slack tol is finite and >= 0 (NaN is not)."""
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tolerance must be finite and non-negative, got {tol:g}")
+
+
 def ic_indicator(config: SystemConfig, kind: Policy, bs, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Boolean array over bs: True where every defined delta >= -tol."""
+    _check_tol(tol)
     return _feasible(delta_grid(config, kind, bs), tol)
 
 
 def ic_check(config: SystemConfig, kind: Policy, b: float, tol: float = DEFAULT_TOL) -> ICReport:
     """Exact incentive check at one punishment probability."""
+    _check_tol(tol)
     d = delta_grid(config, kind, np.array([b]))[:, :, 0]
     return ICReport(kind=kind, b=float(b), tol=tol, deltas=d, violations=_violations(d, tol))
 
@@ -228,6 +236,7 @@ def ic_region(config: SystemConfig, kind: Policy,
     _check_step(grid_step)      # perfbench/workloads.py passes grid_step=
     if not (np.isfinite(tol_b) and tol_b > 0.0):
         raise ValueError(f"b tolerance must be finite and positive, got {tol_b:g}")
+    _check_tol(tol)
     (region,) = _ic_regions(CubeFamily([config], kind), tol)
     return BIntervalSet(region.intervals, grid_step, tol_b)
 

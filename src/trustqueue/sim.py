@@ -12,18 +12,20 @@ ell + 1's first-passage curve, which one binary search per job reads.  The
 result equals the discrete-event simulation on the same draws job by job,
 up to rounding (tests/event_sim.py keeps that event loop as the reference).
 
-Each job's work at ranks <= w and final rank w come from
-ranks.rank_path_table, the table soap's closed forms read too.
+Each job's row of ranks.rank_path_table, the table soap's closed forms
+read too, gives its work at ranks <= w and final rank w; draws picks the
+row from the job's random draws.
 
-Replications are dealt round-robin to ``workers`` threads, whose numpy
-passes release the GIL.  Each thread writes every replication it runs into
-one set of job-length buffers, so replications fault in few fresh pages.
-Each replication has its own seeded generator and results return in
-replication order, so the result does not depend on the number of workers.
+Replications are dealt round-robin to ``workers`` threads.  Numpy drops
+the GIL only inside each pass, so two threads run at most about 1.4x as
+fast as one at 20k jobs a replication, 1.6x at 200k (README.md).  A thread
+runs its replications in one set of job-length buffers, so they fault in
+few fresh pages.  Each replication has its own seeded generator and results
+return in replication order: the result does not depend on the workers.
 
-Honest jobs declare their internal estimate.  Sparse probe jobs declare a
-uniformly random class instead, estimating the deviation response times
-E[U_ik] without materially perturbing the honest equilibrium.
+Sparse probe jobs declare a uniformly random class, estimating the
+deviation response times E[U_ik] without materially perturbing the
+honest equilibrium.
 """
 
 from __future__ import annotations
@@ -36,21 +38,19 @@ from functools import partial
 
 import numpy as np
 
+from .draws import cell_table, draw_jobs, mix64
 from .model import Policy, PolicySpec, SystemConfig
 from .ranks import rank_path_table
 
-_M64 = (1 << 64) - 1
 # indices here are always in range; np.take's default mode would copy ``out``
 _take = partial(np.take, mode="clip")
 
 
-def mix64(x: int) -> int:
-    """splitmix64 finalizer; derives independent per-replication seeds."""
-    x &= _M64
-    x = (x + 0x9E3779B97F4A7C15) & _M64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _M64
-    return (x ^ (x >> 31)) & _M64
+def _integer(name: str, value) -> int:
+    """value as an int; numpy integers pass, bool and floats do not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -62,6 +62,8 @@ class SimConfig:
     probe_probability: float = 0.005
 
     def __post_init__(self):
+        for name in ("job_count", "seed", "replications"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.job_count <= 0 or self.replications <= 0:
             raise ValueError("job_count and replications must be positive")
         if not (0.0 <= self.warmup_fraction < 1.0):
@@ -101,39 +103,24 @@ def _workspace(job_count: int) -> dict:
     """One thread's job-length buffers; every replication it runs overwrites all of them."""
     ws = {key: np.empty(job_count) for key in "a u s t resp c0 c1".split()}
     ws.update({key: np.empty(job_count + 1) for key in ("r0", "r1")})
-    ws.update({key: np.empty(job_count, np.intp) for key in "i j k path final".split()})
-    ws.update({key: np.empty(job_count, bool) for key in "coin probe mask".split()})
+    ws.update({key: np.empty(job_count, np.intp) for key in "cell path final".split()})
+    ws.update({key: np.empty(job_count, bool) for key in ("coin", "mask")})
     return ws
 
 
-def _run_replication(args, ws=None):
+def _run_replication(args, ws=None, table=None):
+    """One replication; table is draws.cell_table(M), or None to build it."""
     (z, M, lam, kind_value, b, N, warm_frac, probe_p, seed, capture) = args
     n = len(z)
     ws = _workspace(N) if ws is None else ws
-    a, u, s, t, resp, i, j, k, path, coin, probe, mask = map(
-        ws.get, "a u s t resp i j k path coin probe mask".split())
+    a, u, s, t, resp, cell, path, coin, mask = map(
+        ws.get, "a u s t resp cell path coin mask".split())
     rng = np.random.default_rng(mix64(seed))
 
-    # rng.exponential, rng.choice and rng.random's draws, bit for bit, in place
-    rng.standard_exponential(out=a)
-    a *= 1.0 / lam
-    np.cumsum(a, out=a)
-    cdf = (M / M.sum()).ravel().cumsum()
-    cdf /= cdf[-1]
-    rng.random(out=u)
-    np.divmod(cdf.searchsorted(u, side="right"), n, out=(i, j))
-    rng.random(out=u)
-    np.less(u, b, out=coin)
-    rng.random(out=u)
-    np.less(u, probe_p, out=probe)
-    np.copyto(k, j)
-    np.copyto(k, rng.integers(0, n, N), where=probe)
+    table = cell_table(M) if table is None else table
+    probes, declared = draw_jobs(rng, n, lam, b, probe_p, table, a, cell, path, coin, u, s, mask)
 
     xle, final = rank_path_table(PolicySpec(Policy(kind_value), b), z)
-    np.multiply(i, n, out=path)
-    path += k
-    path *= 2
-    path += coin                                # each job's row of the flattened table
     xle = np.ascontiguousarray(xle.reshape(n * n * 2, n + 2).T)
     final = _take(final.ravel(), path, out=ws["final"])
 
@@ -177,16 +164,17 @@ def _run_replication(args, ws=None):
     np.subtract(completion, s, out=s)
     area = float(np.maximum(s, 0.0, out=s).sum())
     # honest jobs count in bin j, probe jobs in bin n + i * n + k
-    bins = np.multiply(i, n, out=path)
-    bins += k
-    bins += n
-    np.copyto(bins, j, where=np.logical_not(probe, out=mask))
+    bins = _take(np.tile(np.arange(n), n), cell, out=path)
+    bins[probes] = n + declared
     cnt = np.bincount(bins[warm_n:], minlength=n + n * n)
     tot = np.bincount(bins[warm_n:], weights=resp[warm_n:], minlength=n + n * n)
 
     trace = None
     if capture:
         order = warm_n + np.argsort(completion[warm_n:], kind="stable")
+        i, j = np.divmod(cell, n)
+        k, probe = j.copy(), np.zeros(N, bool)
+        k[probes], probe[probes] = declared % n, True
         trace = list(zip(*(v[order].tolist() for v in (a, i, j, k, coin, probe, resp))))
     return {
         "sum_resp": float(tot[:n].sum()),
@@ -214,7 +202,7 @@ def _combine(values, t975: np.ndarray, count: int | None = None) -> SimEstimate:
 def simulate(config: SystemConfig, policy: PolicySpec, sim: SimConfig,
              workers: int = 1, trace_path=None) -> SimResult:
     """Run independent replications on ``workers`` threads; combine them into 95% CI estimates."""
-    if workers < 1:
+    if _integer("workers", workers) < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     if config.load >= 0.98 and sim.job_count < 100_000:
         warnings.warn(
@@ -231,9 +219,11 @@ def simulate(config: SystemConfig, policy: PolicySpec, sim: SimConfig,
         for rep in range(sim.replications)
     ]
 
+    table = cell_table(config.matrix.entries)
+
     def run(share):                 # one thread's replications, on one workspace
         ws = _workspace(sim.job_count)
-        return [_run_replication(a, ws) for a in share]
+        return [_run_replication(a, ws, table) for a in share]
     shares = [args[w::workers] for w in range(min(workers, len(args)))]
     with ThreadPoolExecutor(max_workers=len(shares)) as pool:
         parts = list(pool.map(run, shares))

@@ -352,6 +352,18 @@ def test_region_searches_reject_bad_tol_b(three_class, tol_b):
             ic_region(three_class, kind, tol_b=tol_b)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+def test_ic_searches_reject_bad_tol(three_class, tol):
+    # a NaN slack made every delta pass, a negative one every delta fail
+    searches = [lambda t: ic_region(three_class, MT, tol=t),
+                lambda t: ic_check(three_class, MT, 0.01, tol=t),
+                lambda t: ic_indicator(three_class, BT, [0.1, 0.5], tol=t)]
+    for search in searches:
+        with pytest.raises(ValueError, match="tolerance must be finite and non-negative"):
+            search(tol)
+        search(0.0)             # no slack at all is valid
+
+
 ZERO_COLUMN = validate_config(0.4, [1, 2, 3], [[0.40, 0.0, 0.06],
                                                [0.20, 0.0, 0.10],
                                                [0.04, 0.0, 0.20]])

@@ -186,6 +186,29 @@ def test_sim_config_rejects_fewer_than_two_recorded_jobs(job_count, warmup):
         SimConfig(job_count=job_count, warmup_fraction=warmup)
 
 
+@pytest.mark.parametrize("field, value", [("job_count", 2000.0), ("replications", 2.0),
+                                          ("seed", 1.5), ("replications", True),
+                                          ("job_count", "2000")])
+def test_sim_config_rejects_non_integer_counts(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer, got"):
+        SimConfig(**{"job_count": 2_000, field: value})
+
+
+@pytest.mark.parametrize("workers", [1.5, 2.0, True])
+def test_simulate_rejects_non_integer_workers(three_class, workers):
+    with pytest.raises(ValueError, match="workers must be an integer, got"):
+        simulate(three_class, PolicySpec(MT, 0.43), SimConfig(job_count=1_000), workers=workers)
+
+
+def test_numpy_integer_counts_run_as_python_ints(three_class):
+    sim_cfg = SimConfig(job_count=np.int64(2_000), seed=np.uint32(3), replications=np.int16(2))
+    assert sim_cfg == SimConfig(job_count=2_000, seed=3, replications=2)
+    assert {type(v) for v in (sim_cfg.job_count, sim_cfg.seed, sim_cfg.replications)} == {int}
+    policy = PolicySpec(MT, 0.4)
+    assert (simulate(three_class, policy, sim_cfg, workers=np.int64(2))
+            == simulate(three_class, policy, SimConfig(job_count=2_000, seed=3, replications=2)))
+
+
 def test_sim_config_accepts_two_recorded_jobs():
     SimConfig(job_count=2, warmup_fraction=0.1)
     SimConfig(job_count=10, warmup_fraction=0.8)
