@@ -1,4 +1,5 @@
 import csv
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +16,10 @@ from trustqueue.soap import (fcfs_mean_response, response_table, scf_mean_respon
 
 MT = Policy.MEASURED_TRUST
 BT = Policy.BLIND_TRUST
+
+# sha256 of repr(simulate(...)) at the six oracle points and of one trace CSV;
+# any change to the draws, the sample paths or the estimates changes it
+SIM_SHA256 = "ac9a0e934a63d4cdd5d57bd21bcfa68eda004b85e6da2cac27bbb7c4a4f13bf6"
 
 THREE_CLASS_MATRIX = [
     [0.425, 0.03, 0.01],
@@ -340,3 +345,22 @@ def test_rank_path_table_is_shared_and_read_only():
         xle[2, 0, 0, 1] = 7.0
     with pytest.raises(ValueError):
         final[2, 0, 0] = 1
+
+
+def test_simulate_output_digest(tmp_path):
+    # the benchmark's oracle points: the b of each four-class point is the
+    # midpoint of its x = 0.1 IC region, written out so that only sim is pinned
+    three, four = three_class_example(), four_class_example(0.1)
+    points = [(three, PolicySpec(Policy.FCFS)), (three, PolicySpec(Policy.SCF)),
+              (three, PolicySpec(MT, 0.43)), (three, PolicySpec(BT, 0.81)),
+              (four, PolicySpec(MT, 0.306767031766712)),
+              (four, PolicySpec(BT, 0.4862362759818982))]
+    digest = hashlib.sha256()
+    for p, (config, policy) in enumerate(points):
+        sim_cfg = SimConfig(job_count=20_000, seed=8_100 + 4 * p, replications=4)
+        digest.update(repr(simulate(config, policy, sim_cfg, workers=2)).encode())
+    path = tmp_path / "trace.csv"
+    simulate(four, PolicySpec(MT, 0.3), SimConfig(job_count=5_000, seed=77, replications=1,
+                                                  probe_probability=0.05), trace_path=path)
+    digest.update(path.read_bytes())
+    assert digest.hexdigest() == SIM_SHA256
