@@ -218,18 +218,33 @@ def diagonal_matrix(size_probs, grid: SizeGrid) -> SizeEstimateMatrix:
     return uniform_error_matrix(size_probs, grid, 0.0)
 
 
+def _numbers(value) -> bool:
+    """Whether value is a JSON number or nested lists of them (booleans are not)."""
+    if isinstance(value, list):
+        return all(map(_numbers, value))
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def load_config(path) -> SystemConfig:
     """Read a JSON config file.
 
     Two layouts are accepted:
       {"lambda": .., "sizes": [..], "matrix": [[..], ..]}
       {"lambda": .., "sizes": [..], "size_probs": [..], "error_rate": x}
-    Matrix rows are indexed by true size, columns by internal estimate.
+    Matrix rows are indexed by true size, columns by internal estimate.  Other
+    keys, keys of both layouts and values other than numbers are rejected.
     """
     with open(path) as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ConfigError("config file must hold a JSON object")
+    keys = ("lambda", "sizes", *(("matrix",) if "matrix" in raw else ("size_probs", "error_rate")))
+    for key, value in raw.items():
+        if key not in keys:
+            raise ConfigError(f"config file key {key!r} is not read; its layout takes "
+                              + ", ".join(keys))
+        if not _numbers(value):
+            raise ConfigError(f"config file value {key!r} is not all numbers: {json.dumps(value)}")
     try:
         lam = float(raw["lambda"])
         grid = SizeGrid(raw["sizes"])

@@ -16,12 +16,13 @@ Each job's row of ranks.rank_path_table, the table soap's closed forms
 read too, gives its work at ranks <= w and final rank w; draws picks the
 row from the job's random draws.
 
-Replications are dealt round-robin to ``workers`` threads.  Numpy drops
-the GIL only inside each pass, so two threads run at most about 1.4x as
-fast as one at 20k jobs a replication, 1.6x at 200k (README.md).  A thread
-runs its replications in one set of job-length buffers, so they fault in
-few fresh pages.  Each replication has its own seeded generator and results
-return in replication order: the result does not depend on the workers.
+``workers`` threads map over the replication seeds.  Numpy drops the GIL
+only inside each pass, so two threads run at most about 1.4x as fast as
+one at 20k jobs a replication, 1.6x at 200k (README.md).  A thread runs
+its replications in one set of job-length buffers, so they fault in few
+fresh pages.  A replication draws from its own seeded generator and
+returns one row of bin totals; the rows come back in seed order, so the
+result does not depend on the workers.
 
 Sparse probe jobs declare a uniformly random class, estimating the
 deviation response times E[U_ik] without materially perturbing the
@@ -31,6 +32,7 @@ honest equilibrium.
 from __future__ import annotations
 
 import csv
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -39,7 +41,7 @@ from functools import partial
 import numpy as np
 
 from .draws import cell_table, draw_jobs, mix64
-from .model import Policy, PolicySpec, SystemConfig
+from .model import PolicySpec, SystemConfig
 from .ranks import rank_path_table
 
 # indices here are always in range; np.take's default mode would copy ``out``
@@ -108,21 +110,27 @@ def _workspace(job_count: int) -> dict:
     return ws
 
 
-def _run_replication(args, ws=None, table=None):
-    """One replication; table is draws.cell_table(M), or None to build it."""
-    (z, M, lam, kind_value, b, N, warm_frac, probe_p, seed, capture) = args
-    n = len(z)
-    ws = _workspace(N) if ws is None else ws
+def _tables(config: SystemConfig, policy: PolicySpec) -> tuple:
+    """A call's seed-free inputs: the cell table, and xle[ell] and the final
+    rank of each rank-path table row 2 * (i * n + k) + coin."""
+    n = config.n
+    xle, final = rank_path_table(policy, config.sizes)
+    return (cell_table(config.matrix.entries),
+            np.ascontiguousarray(xle.reshape(n * n * 2, n + 2).T), final.ravel())
+
+
+def _run_replication(config: SystemConfig, policy: PolicySpec, sim: SimConfig, seed: int,
+                     ws: dict, tables: tuple, capture: bool):
+    """One replication in workspace ws: its bin totals tot and cnt (below),
+    area in system, window and, if capture, trace of the recorded jobs."""
+    n, N = config.n, sim.job_count
+    table, xle, final = tables
     a, u, s, t, resp, cell, path, coin, mask = map(
         ws.get, "a u s t resp cell path coin mask".split())
     rng = np.random.default_rng(mix64(seed))
-
-    table = cell_table(M) if table is None else table
-    probes, declared = draw_jobs(rng, n, lam, b, probe_p, table, a, cell, path, coin, u, s, mask)
-
-    xle, final = rank_path_table(PolicySpec(Policy(kind_value), b), z)
-    xle = np.ascontiguousarray(xle.reshape(n * n * 2, n + 2).T)
-    final = _take(final.ravel(), path, out=ws["final"])
+    probes, declared = draw_jobs(rng, n, config.lam, policy.b, sim.probe_probability, table,
+                                 a, cell, path, coin, u, s, mask)
+    final = _take(final, path, out=ws["final"])
 
     # Level ell: C = cumsum of the work at ranks <= ell, R = running max of
     # E = (a_0, a_1 - C[0], ..., a_{N-1} - C[N-2], inf).  Arrival k finds
@@ -156,7 +164,7 @@ def _run_replication(args, ws=None, table=None):
             work += e
         resp[jobs] = work
 
-    warm_n = int(N * warm_frac)
+    warm_n = int(N * sim.warmup_fraction)
     completion = np.add(a, resp, out=ws["c0"])
     t_start = a[warm_n]
     # time-integral of the number in system over [t_start, t_end]
@@ -176,27 +184,15 @@ def _run_replication(args, ws=None, table=None):
         k, probe = j.copy(), np.zeros(N, bool)
         k[probes], probe[probes] = declared % n, True
         trace = list(zip(*(v[order].tolist() for v in (a, i, j, k, coin, probe, resp))))
-    return {
-        "sum_resp": float(tot[:n].sum()),
-        "n_resp": int(cnt[:n].sum()),
-        "class_sum": tot[:n].tolist(),
-        "class_cnt": cnt[:n].tolist(),
-        "cell_sum": tot[n:].reshape(n, n).tolist(),
-        "cell_cnt": cnt[n:].reshape(n, n).tolist(),
-        "area": area,
-        "window": float(completion.max()) - float(t_start),
-        "arrived_in_window": N - warm_n,
-        "trace": trace,
-    }
+    return tot, cnt, area, float(completion.max()) - float(t_start), trace
 
 
-def _combine(values, t975: np.ndarray, count: int | None = None) -> SimEstimate:
-    """Mean over r replications, its 95% CI half-width (t975[r - 2] is the t
-    quantile for r) and ``count``, by default r."""
-    arr = np.asarray(list(values), dtype=float)
-    r = len(arr)
-    half = float(t975[r - 2] * arr.std(ddof=1) / np.sqrt(r)) if r > 1 else float("inf")
-    return SimEstimate(float(arr.mean()), half, r if count is None else count)
+def _combine(values: np.ndarray, t975, count) -> SimEstimate:
+    """Mean of one value per replication, its 95% CI half-width (t975 is the
+    t quantile for that many replications) and count."""
+    r = len(values)
+    half = float(t975 * values.std(ddof=1) / np.sqrt(r)) if r > 1 else float("inf")
+    return SimEstimate(float(values.mean()), half, int(count))
 
 
 def simulate(config: SystemConfig, policy: PolicySpec, sim: SimConfig,
@@ -211,58 +207,45 @@ def simulate(config: SystemConfig, policy: PolicySpec, sim: SimConfig,
     if trace_path is not None and sim.replications != 1:
         raise ValueError("per-job traces are only written for single-replication runs")
 
-    n = config.n
-    args = [
-        (config.sizes, config.matrix.entries, config.lam, policy.kind.value, policy.b,
-         sim.job_count, sim.warmup_fraction, sim.probe_probability, sim.seed + rep,
-         trace_path is not None)
-        for rep in range(sim.replications)
-    ]
+    n, reps = config.n, sim.replications
+    tables = _tables(config, policy)
+    local = threading.local()       # each thread makes its workspace as it starts
 
-    table = cell_table(config.matrix.entries)
+    def run(seed):
+        return _run_replication(config, policy, sim, seed, local.ws, tables,
+                                trace_path is not None)
+    with ThreadPoolExecutor(min(workers, reps), initializer=lambda: setattr(
+            local, "ws", _workspace(sim.job_count))) as pool:
+        tot, cnt, area, window, trace = zip(*pool.map(run, range(sim.seed, sim.seed + reps)))
+    tot, cnt, window = np.array(tot), np.array(cnt), np.array(window)   # a row per replication
 
-    def run(share):                 # one thread's replications, on one workspace
-        ws = _workspace(sim.job_count)
-        return [_run_replication(a, ws, table) for a in share]
-    shares = [args[w::workers] for w in range(min(workers, len(args)))]
-    with ThreadPoolExecutor(max_workers=len(shares)) as pool:
-        parts = list(pool.map(run, shares))
-    reps = [None] * len(args)
-    for w, part in enumerate(parts):
-        reps[w::len(parts)] = part
-
-    if any(r["n_resp"] == 0 for r in reps):
+    honest = cnt[:, :n].sum(axis=1)
+    if not honest.all():
         raise ValueError("a replication recorded no honest job after warm-up; "
                          "use more jobs or a lower probe probability")
     from scipy import stats         # imported here: no other module needs scipy
 
-    # the t quantiles for 2..replications replications, computed once
-    t975 = stats.t.ppf(0.975, np.arange(1, max(sim.replications, 2)))
-    overall = _combine((r["sum_resp"] / r["n_resp"] for r in reps), t975,
-                       sum(r["n_resp"] for r in reps))
+    t975 = stats.t.ppf(0.975, reps - 1)
     # classes j, then cells (i, k): estimated if all replications see one, dropped if some do
-    entries = [*range(n), *((i, k) for i in range(n) for k in range(n))]
-    sums = [r["class_sum"] + sum(r["cell_sum"], []) for r in reps]
-    cnts = [r["class_cnt"] + sum(r["cell_cnt"], []) for r in reps]
+    keys = [*range(n), *((i, k) for i in range(n) for k in range(n))]
     found, dropped = ({}, {}), ([], [])
-    for e, key in enumerate(entries):
-        seen = [c[e] for c in cnts]
-        if all(seen):
-            found[e >= n][key] = _combine([s[e] / c[e] for s, c in zip(sums, cnts)],
-                                          t975, sum(seen))
-        elif any(seen):
+    for e, key in enumerate(keys):
+        if cnt[:, e].all():
+            found[e >= n][key] = _combine(tot[:, e] / cnt[:, e], t975, cnt[:, e].sum())
+        elif cnt[:, e].any():
             dropped[e >= n].append(key)
-    time_avg = _combine((r["area"] / r["window"] for r in reps if r["window"] > 0), t975)
-    rate = float(np.mean([r["arrived_in_window"] / r["window"] for r in reps if r["window"] > 0]))
 
     if trace_path is not None:
         with open(trace_path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["arrival_time", "size_index", "estimate_index", "declared_index",
                         "punish_coin", "is_probe", "response_time"])
-            for row in reps[0]["trace"]:
+            for row in trace[0]:
                 w.writerow([f"{row[0]:.9g}", row[1], row[2], row[3],
                             int(row[4]), int(row[5]), f"{row[6]:.9g}"])
-    return SimResult(overall=overall, per_cell=found[1], per_class=found[0],
-                     time_avg_in_system=time_avg, arrival_rate_measured=rate,
+    # each job arriving in the window is recorded in one bin: cnt's row sums count them
+    return SimResult(overall=_combine(tot[:, :n].sum(axis=1) / honest, t975, honest.sum()),
+                     per_cell=found[1], per_class=found[0],
+                     time_avg_in_system=_combine(np.array(area) / window, t975, reps),
+                     arrival_rate_measured=float(np.mean(cnt.sum(axis=1) / window)),
                      dropped_classes=tuple(dropped[0]), dropped_cells=tuple(dropped[1]))

@@ -21,8 +21,9 @@ from trustqueue.sim import mix64
 
 
 def run_replication(args):
-    """One replication by discrete-event simulation; same arguments and result
-    dict as ``trustqueue.sim._run_replication``."""
+    """One replication by discrete-event simulation, on the same draws as
+    ``trustqueue.sim._run_replication``; tests/test_sim.py reads its result
+    dict as that function's bin totals."""
     (z, M, lam, kind_value, b, job_count, warm_frac, probe_p, seed, capture) = args
     policy = PolicySpec(Policy(kind_value), b)
     n = len(z)

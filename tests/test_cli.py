@@ -84,7 +84,13 @@ def test_malformed_config_exits_1(tmp_path, capsys):
             ('{%s, "size_probs": [0.5, 0.5], "error_rate": null}' % two, ["analyze"]),
             ('{%s, "matrix": [[NaN, 0], [0, 1]]}' % two, ["analyze"]),
             ('{%s, "matrix": [[NaN, 0], [0, 1]]}' % two, ["ic-region"]),
-            ('{%s, "size_probs": [NaN, 1]}' % two, ["analyze", "--policy", "fcfs"])):
+            ('{%s, "size_probs": [NaN, 1]}' % two, ["analyze", "--policy", "fcfs"]),
+            # keys it would not read, and JSON booleans where numbers belong
+            ('{%s, "size_probs": [0.5, 0.5], "error-rate": 0.3}' % two, ["ic-region"]),
+            ('{%s, "matrix": [[0.5, 0], [0, 0.5]], "error_rate": 0.3}' % two, ["ic-region"]),
+            ('{"lambda": true, "sizes": [0.1, 0.2], "size_probs": [0.5, 0.5]}', ["analyze"]),
+            ('{%s, "size_probs": [0.5, 0.5], "error_rate": true}' % two, ["ic-region"]),
+            ('{"lambda": 0.1, "sizes": [true, 2], "size_probs": [0.5, 0.5]}', ["analyze"])):
         path.write_text(text)
         code, out, err = run(command + ["--config", str(path)], capsys)
         assert code == 1, text

@@ -1,17 +1,20 @@
+import ast
 import csv
 import hashlib
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import random_config
 from event_sim import run_replication as event_replication
+from trustqueue import sim
 from trustqueue.experiments import four_class_example, three_class_example
 from trustqueue.incentives import ic_region
 from trustqueue.model import Policy, PolicySpec, validate_config
 from trustqueue.ranks import rank_boundaries, rank_path_table
-from trustqueue.sim import SimConfig, _run_replication, _workspace, mix64, simulate
+from trustqueue.sim import SimConfig, _run_replication, _tables, _workspace, mix64, simulate
 from trustqueue.soap import (fcfs_mean_response, response_table, scf_mean_response)
 
 MT = Policy.MEASURED_TRUST
@@ -157,16 +160,9 @@ def test_trace_requires_single_replication(three_class, tmp_path):
                  trace_path=tmp_path / "t.csv")
 
 
-def test_parallel_workers_equivalent(three_class):
-    sim_cfg = SimConfig(job_count=15_000, seed=21, replications=2)
-    serial = simulate(three_class, PolicySpec(BT, 0.5), sim_cfg, workers=1)
-    parallel = simulate(three_class, PolicySpec(BT, 0.5), sim_cfg, workers=2)
-    assert serial.overall == parallel.overall
-    assert serial.per_class == parallel.per_class
-
-
 @pytest.mark.parametrize("policy", [PolicySpec(Policy.FCFS), PolicySpec(Policy.SCF),
-                                    PolicySpec(MT, 0.43), PolicySpec(BT, 0.81)])
+                                    PolicySpec(MT, 0.43), PolicySpec(BT, 0.81),
+                                    PolicySpec(BT, 0.5)])
 def test_whole_result_independent_of_worker_count(three_class, policy):
     # a probe rate high enough that every replication records every cell
     sim_cfg = SimConfig(job_count=6_000, seed=33, replications=4, probe_probability=0.2)
@@ -174,7 +170,7 @@ def test_whole_result_independent_of_worker_count(three_class, policy):
     assert len(results[0].per_cell) == 9 and not results[0].dropped_cells
     assert results[1] == results[0]
     assert results[2] == results[0]
-    # ten replications dealt unevenly: threads run 4, 3 and 3 of them
+    # ten replications on three threads, each taking the next seed as it frees up
     ten = replace(sim_cfg, replications=10)
     assert simulate(three_class, policy, ten, workers=3) == simulate(three_class, policy, ten)
 
@@ -221,21 +217,35 @@ def test_sim_config_accepts_two_recorded_jobs():
 
 # --- per-job equality with the discrete-event oracle on shared draws ---
 
-def _replication_args(config, policy, job_count, seed, probe_p):
-    return (config.sizes, config.matrix.entries, config.lam, policy.kind.value, policy.b,
-            job_count, 0.1, probe_p, seed, True)
+def _case(config, policy, job_count, seed, probe_p, warmup=0.1):
+    sim_cfg = SimConfig(job_count=job_count, warmup_fraction=warmup, probe_probability=probe_p)
+    return config, policy, sim_cfg, seed
 
 
-def _assert_matches_event_loop(args):
-    got = _run_replication(args)
-    want = event_replication(args)
-    assert got["n_resp"] == want["n_resp"]
-    assert got["class_cnt"] == want["class_cnt"]
-    assert got["cell_cnt"] == want["cell_cnt"]
-    assert got["arrived_in_window"] == want["arrived_in_window"]
-    for key in ("sum_resp", "class_sum", "cell_sum", "area", "window"):
-        np.testing.assert_allclose(got[key], want[key], rtol=1e-9, atol=0, err_msg=key)
-    got_rows, want_rows = np.array(got["trace"], dtype=float), np.array(want["trace"], dtype=float)
+def _replicate(case, ws):
+    """sim's replication of the case, with its trace, in workspace ws."""
+    config, policy, sim_cfg, seed = case
+    return _run_replication(config, policy, sim_cfg, seed, ws, _tables(config, policy), True)
+
+
+def _event_loop(case):
+    """event_sim's replication of the case, its result dict as sim's bin totals."""
+    config, policy, sim_cfg, seed = case
+    got = event_replication((config.sizes, config.matrix.entries, config.lam, policy.kind.value,
+                             policy.b, sim_cfg.job_count, sim_cfg.warmup_fraction,
+                             sim_cfg.probe_probability, seed, True))
+    tot = got["class_sum"] + sum(got["cell_sum"], [])
+    cnt = got["class_cnt"] + sum(got["cell_cnt"], [])
+    return np.array(tot), np.array(cnt), got["area"], got["window"], got["trace"]
+
+
+def _assert_matches_event_loop(case):
+    got = _replicate(case, _workspace(case[2].job_count))
+    want = _event_loop(case)
+    np.testing.assert_array_equal(got[1], want[1])
+    for g, w, key in zip(got[::2], want[::2], ("tot", "area", "window")):
+        np.testing.assert_allclose(g, w, rtol=1e-9, atol=0, err_msg=key)
+    got_rows, want_rows = np.array(got[4], dtype=float), np.array(want[4], dtype=float)
     assert got_rows.shape == want_rows.shape
     # same jobs in the same completion order, same per-job fields
     np.testing.assert_array_equal(got_rows[:, :6], want_rows[:, :6])
@@ -256,7 +266,7 @@ def _oracle_points():
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_replication_matches_event_loop_at_benchmark_points(seed):
     for config, policy in _oracle_points():
-        _assert_matches_event_loop(_replication_args(config, policy, 20_000, seed, 0.005))
+        _assert_matches_event_loop(_case(config, policy, 20_000, seed, 0.005))
 
 
 @pytest.mark.parametrize("c", range(24))
@@ -264,13 +274,12 @@ def test_replication_matches_event_loop_on_random_configs(c):
     config = random_config(500 + c, n_range=(2, 6), max_load=0.97)
     b = float(np.random.default_rng(c).uniform())
     for kind in Policy:
-        _assert_matches_event_loop(
-            _replication_args(config, PolicySpec(kind, b), 3_000, 100 + c, 0.02))
+        _assert_matches_event_loop(_case(config, PolicySpec(kind, b), 3_000, 100 + c, 0.02))
     # b = 0 leaves the punishment level empty, b = 1 punishes every overrun
     for kind in (MT, BT):
         for edge in (0.0, 1.0):
             _assert_matches_event_loop(
-                _replication_args(config, PolicySpec(kind, edge), 3_000, 100 + c, 0.02))
+                _case(config, PolicySpec(kind, edge), 3_000, 100 + c, 0.02))
 
 
 def _gapped_config():
@@ -278,11 +287,11 @@ def _gapped_config():
     return validate_config(0.2, [1, 2, 3], [[0.5, 0.0, 0.1], [0.0, 0.0, 0.0], [0.1, 0.0, 0.3]])
 
 
-def _final_ranks(args, result):
+def _final_ranks(case, result):
     """Each traced job's final rank, in arrival order."""
-    rows = sorted(result["trace"])
+    rows = sorted(result[4])
     i, k, coin = (np.array([row[c] for row in rows], dtype=int) for c in (1, 3, 4))
-    _, final = rank_path_table(PolicySpec(Policy(args[3]), args[4]), args[0])
+    _, final = rank_path_table(case[1], case[0].sizes)
     return final[i, k, coin]
 
 
@@ -293,15 +302,14 @@ def test_replication_raises_no_floating_point_warning(three_class):
     for config in (three_class, _gapped_config()):
         for kind in Policy:
             for b in (0.0, 0.5, 1.0):
-                args = (config.sizes, config.matrix.entries, config.lam, kind.value, b,
-                        2_000, 0.0, 0.02, 4, True)
+                case = _case(config, PolicySpec(kind, b), 2_000, 4, 0.02, warmup=0.0)
                 with np.errstate(all="raise"):
-                    got = _run_replication(args)
-                final = _final_ranks(args, got)
+                    got = _replicate(case, _workspace(2_000))
+                final = _final_ranks(case, got)
                 levels = np.bincount(final)
                 seen_job0_above_1 |= bool(final[0] > 1)
                 seen_gap |= bool((levels[1:] == 0).any())
-                _assert_matches_event_loop(args)
+                _assert_matches_event_loop(case)
     assert seen_job0_above_1 and seen_gap
 
 
@@ -315,12 +323,13 @@ def _filled_workspace(job_count):
 def test_reused_workspace_leaks_nothing(three_class, four_class):
     # A has more rank levels than B; on one workspace, each run must equal
     # the same run on a fresh one
-    a = _replication_args(four_class, PolicySpec(MT, 0.3), 4_000, 7, 0.05)
-    b = _replication_args(three_class, PolicySpec(Policy.SCF), 4_000, 8, 0.05)
+    a = _case(four_class, PolicySpec(MT, 0.3), 4_000, 7, 0.05)
+    b = _case(three_class, PolicySpec(Policy.SCF), 4_000, 8, 0.05)
     ws = _filled_workspace(4_000)
-    assert _run_replication(a, ws) == _run_replication(a, _filled_workspace(4_000))
-    assert _run_replication(b, ws) == _run_replication(b, _filled_workspace(4_000))
-    assert _run_replication(a, ws) == _run_replication(a, _filled_workspace(4_000))
+    for case in (a, b, a):
+        got, want = _replicate(case, ws), _replicate(case, _filled_workspace(4_000))
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert got[2:] == want[2:]
 
 
 def test_rank_path_table_three_class_mt():
@@ -364,3 +373,33 @@ def test_simulate_output_digest(tmp_path):
                                                   probe_probability=0.05), trace_path=path)
     digest.update(path.read_bytes())
     assert digest.hexdigest() == SIM_SHA256
+
+
+# the code the simulator cross-checks, which it must therefore never read
+CHECKED = {"soap", "incentives", "numerators", "experiments"}
+SOURCE = Path(sim.__file__).parent
+
+
+def _local_imports(source: str) -> set[str]:
+    """The trustqueue modules that source's import statements name."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(part for alias in node.names for part in alias.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+            names.update(alias.name for alias in node.names)
+    return {name for name in names if (SOURCE / f"{name}.py").exists()}
+
+
+def test_oracle_imports_none_of_the_code_it_checks():
+    for planted in ("from .soap import x", "from . import incentives",
+                    "import trustqueue.numerators", "from trustqueue.experiments import y"):
+        assert _local_imports(planted) & CHECKED, planted
+    # sim and draws, and every module they reach through imports
+    seen, todo = set(), ["sim", "draws"]
+    while todo:
+        module = todo.pop()
+        seen.add(module)
+        todo += _local_imports((SOURCE / f"{module}.py").read_text()) - seen
+    assert seen >= {"sim", "draws", "ranks", "model"} and not seen & CHECKED
