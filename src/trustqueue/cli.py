@@ -19,38 +19,37 @@ from .sim import SimConfig, simulate
 from .soap import fcfs_mean_response, response_table, scf_mean_response
 
 POLICIES = {p.value: p for p in Policy}
+TRUST = ("mt", "bt")    # the policies that read the declared class
 
 
 def _config_from_args(args):
-    name = args.preset or "three-class"
-    if args.error_rate is not None and (args.config or name != "four-class"):
+    error_rate = getattr(args, "error_rate", None)     # sweep and curve have none
+    if error_rate is not None and (args.config or args.preset != "four-class"):
         raise ConfigError("--error-rate applies only to the four-class preset")
     if args.config:
         return load_config(args.config)
-    if name not in experiments.PRESETS:
-        raise ConfigError(f"unknown preset {name!r}; see 'trustqueue preset list'")
-    if name == "four-class" and args.error_rate is not None:
-        return experiments.four_class_example(args.error_rate)
-    return experiments.PRESETS[name]()
+    if args.preset not in experiments.PRESETS:
+        raise ConfigError(f"unknown preset {args.preset!r}; see 'trustqueue preset list'")
+    if error_rate is not None:
+        return experiments.four_class_example(error_rate)
+    return experiments.PRESETS[args.preset]()
 
 
 def _family_from_args(args):
-    if args.config:
-        cfg = load_config(args.config)
-        return cfg.matrix.size_marginal, cfg.grid, cfg.lam
-    name = args.preset or "four-class"
-    if name == "four-class":
+    if args.preset == "four-class" and not args.config:    # exact probabilities, not row sums
         return experiments.four_class_family()
-    if name not in experiments.PRESETS:
-        raise ConfigError(f"unknown preset {name!r}; see 'trustqueue preset list'")
-    cfg = experiments.PRESETS[name]()
+    cfg = _config_from_args(args)
     return cfg.matrix.size_marginal, cfg.grid, cfg.lam
 
 
-def _print_matrix(label, m, fmt="{:10.4f}"):
+def _print_matrix(label, m):
     print(label)
     for row in np.atleast_2d(m):
-        print("  " + " ".join("       nan" if np.isnan(v) else fmt.format(v) for v in row))
+        print("  " + " ".join(f"{v:10.4f}" for v in row))
+
+
+def _spans(region) -> str:
+    return ", ".join(f"[{iv.lo:.4f}, {iv.hi:.4f}]" for iv in region.intervals) or "empty"
 
 
 def cmd_analyze(args) -> int:
@@ -84,21 +83,12 @@ def cmd_analyze(args) -> int:
 def cmd_ic_region(args) -> int:
     config = _config_from_args(args)
     kind = POLICIES[args.policy]
-    if not kind.uses_estimates:
-        print("ic-region applies to the trust policies (mt, bt)", file=sys.stderr)
-        return 1
     region = ic_region(config, kind)
     social = [(baseline, social_benefit_region(config, kind, baseline))
               for baseline in (Policy.FCFS, Policy.SCF)]
-    if region.is_empty:
-        print("incentive compatible region: empty")
-    else:
-        spans = ", ".join(f"[{iv.lo:.4f}, {iv.hi:.4f}]" for iv in region.intervals)
-        print(f"incentive compatible region: {spans}")
+    print(f"incentive compatible region: {_spans(region)}")
     for baseline, sb in social:
-        spans = ("empty" if sb.is_empty else
-                 ", ".join(f"[{iv.lo:.4f}, {iv.hi:.4f}]" for iv in sb.intervals))
-        print(f"socially beneficial vs {baseline.value}: {spans}")
+        print(f"socially beneficial vs {baseline.value}: {_spans(sb)}")
     return 0
 
 
@@ -131,24 +121,21 @@ def cmd_simulate(args) -> int:
     result = simulate(config, policy, sim_cfg, workers=args.workers, trace_path=args.trace)
     o = result.overall
     single = sim_cfg.replications == 1
+    note = "no CI: 1 replication" if single else f"95% CI over {sim_cfg.replications} replications"
 
     def ci(est) -> str:
-        return " (no CI: 1 replication)" if single else f" +- {est.half_width95:.3g}"
+        return f" ({note})" if single else f" +- {est.half_width95:.3g}"
 
-    if single:
-        print(f"overall mean response: {o.mean:.6g} (no CI: 1 replication, {o.count} jobs)")
-    else:
-        print(f"overall mean response: {o.mean:.6g} +- {o.half_width95:.3g} "
-              f"(95% CI over {sim_cfg.replications} replications, {o.count} jobs)")
+    print(f"overall mean response: {o.mean:.6g}{'' if single else ci(o)} ({note}, {o.count} jobs)")
     for j, est in sorted(result.per_class.items()):
         print(f"  honest estimate class {j}: {est.mean:.6g}{ci(est)}")
-    if result.per_cell and policy.kind.uses_estimates:
+    probes = args.policy in TRUST
+    if result.per_cell and probes:
         print("probe deviation estimates U[i][k]:")
         for (i, k), est in sorted(result.per_cell.items()):
             print(f"  i={i} k={k}: {est.mean:.6g}{ci(est)} ({est.count} probes)")
     dropped = ([f"honest estimate class {j}" for j in result.dropped_classes]
-               + [f"probe cell i={i} k={k}" for i, k in result.dropped_cells
-                  if policy.kind.uses_estimates])
+               + [f"probe cell i={i} k={k}" for i, k in result.dropped_cells if probes])
     if dropped:
         print(f"left out, seen in only some of the {sim_cfg.replications} replications: "
               + ", ".join(dropped))
@@ -185,8 +172,7 @@ def cmd_plot(args) -> int:
         ]
         doc = svgchart.curve_chart(rows)
     else:
-        print(f"unrecognized CSV schema: {','.join(header)}", file=sys.stderr)
-        return 1
+        raise ValueError(f"unrecognized CSV schema: {','.join(header)}")
     with open(args.out, "w") as fh:
         fh.write(doc)
     print(f"wrote {args.out}")
@@ -194,10 +180,9 @@ def cmd_plot(args) -> int:
 
 
 def cmd_preset(args) -> int:
-    if args.action == "list":
-        for name, builder in experiments.PRESETS.items():
-            cfg = builder()
-            print(f"{name}: n={cfg.n}, lambda={cfg.lam:g}, load={cfg.load:.4g}")
+    for name, builder in experiments.PRESETS.items():     # "list" is the only action
+        cfg = builder()
+        print(f"{name}: n={cfg.n}, lambda={cfg.lam:g}, load={cfg.load:.4g}")
     return 0
 
 
@@ -228,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ic-region", help="incentive compatible punishment region")
     _add_single_config_options(p)
-    p.add_argument("--policy", choices=["mt", "bt"], default="mt")
+    p.add_argument("--policy", choices=TRUST, default="mt")
     p.set_defaults(fn=cmd_ic_region)
 
     p = sub.add_parser("sweep", help="(error rate, b) incentive sweep to CSV")
@@ -274,12 +259,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except OverloadedError as exc:
+    except (OSError, ValueError) as exc:    # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ConfigError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, OverloadedError) else 1
 
 
 if __name__ == "__main__":

@@ -218,11 +218,17 @@ def diagonal_matrix(size_probs, grid: SizeGrid) -> SizeEstimateMatrix:
     return uniform_error_matrix(size_probs, grid, 0.0)
 
 
-def _numbers(value) -> bool:
-    """Whether value is a JSON number or nested lists of them (booleans are not)."""
-    if isinstance(value, list):
-        return all(map(_numbers, value))
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+# how deep each config file key nests its numbers in lists
+_DEPTH = {"lambda": 0, "error_rate": 0, "sizes": 1, "size_probs": 1, "matrix": 2}
+_SHAPES = ("a number", "a list of numbers", "a list of equal-length lists of numbers")
+
+
+def _numbers(value, depth: int) -> bool:
+    """Whether value is a JSON number in depth levels of lists, rows of equal length."""
+    if depth == 0:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return (isinstance(value, list) and all(_numbers(v, depth - 1) for v in value)
+            and (depth == 1 or len(set(map(len, value))) <= 1))
 
 
 def load_config(path) -> SystemConfig:
@@ -232,7 +238,7 @@ def load_config(path) -> SystemConfig:
       {"lambda": .., "sizes": [..], "matrix": [[..], ..]}
       {"lambda": .., "sizes": [..], "size_probs": [..], "error_rate": x}
     Matrix rows are indexed by true size, columns by internal estimate.  Other
-    keys, keys of both layouts and values other than numbers are rejected.
+    keys, keys of both layouts and values not of their key's shape are rejected.
     """
     with open(path) as fh:
         raw = json.load(fh)
@@ -243,8 +249,9 @@ def load_config(path) -> SystemConfig:
         if key not in keys:
             raise ConfigError(f"config file key {key!r} is not read; its layout takes "
                               + ", ".join(keys))
-        if not _numbers(value):
-            raise ConfigError(f"config file value {key!r} is not all numbers: {json.dumps(value)}")
+        if not _numbers(value, _DEPTH[key]):
+            raise ConfigError(f"config file value {key!r} must be {_SHAPES[_DEPTH[key]]}, "
+                              f"got {json.dumps(value)}")
     try:
         lam = float(raw["lambda"])
         grid = SizeGrid(raw["sizes"])
@@ -257,6 +264,4 @@ def load_config(path) -> SystemConfig:
             raise ConfigError("config file needs either 'matrix' or 'size_probs'")
     except KeyError as exc:
         raise ConfigError(f"config file missing required key {exc}") from exc
-    except TypeError as exc:
-        raise ConfigError(f"config file value of the wrong type: {exc}") from exc
     return SystemConfig(lam=lam, grid=grid, matrix=matrix)

@@ -1,13 +1,19 @@
+import ast
 import csv
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from trustqueue.cli import main
+from trustqueue import cli
+from trustqueue.cli import build_parser, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 THREE_CLASS = {
     "lambda": 0.5,
@@ -95,6 +101,29 @@ def test_malformed_config_exits_1(tmp_path, capsys):
         code, out, err = run(command + ["--config", str(path)], capsys)
         assert code == 1, text
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1, text
+    # a value nested deeper or shallower than its key's numbers, or a ragged matrix
+    for key, text in (
+            ("matrix", '{%s, "matrix": [[0.5, 0.5], [0]]}' % two),
+            ("sizes", '{"lambda": 0.1, "sizes": [1, [2, 3]], "size_probs": [0.5, 0.5]}'),
+            ("size_probs", '{%s, "size_probs": [0.5, [0.25, 0.25]]}' % two),
+            ("size_probs", '{%s, "size_probs": [[0.5, 0.5]]}' % two),
+            ("lambda", '{"lambda": [0.1], "sizes": [1, 2], "size_probs": [0.5, 0.5]}')):
+        path.write_text(text)
+        code, out, err = run(["analyze", "--config", str(path)], capsys)
+        assert code == 1, text
+        assert out == "" and err.startswith(f"error: config file value {key!r} must be "), text
+        assert err.count("\n") == 1, text
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"sizes": [1, 2], "size_probs": [0.5, 0.5]}', "config file missing required key 'lambda'"),
+    ('{"lambda": 0.1, "sizes": [1, 2, 3], "matrix": [[0.5, 0], [0, 0.5]]}',
+     "grid has 3 sizes but matrix is 2x2"),
+], ids=["no-lambda", "grid-matrix-mismatch"])
+def test_incomplete_config_exits_1(text, message, tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    assert run(["ic-region", "--config", str(path)], capsys) == (1, "", f"error: {message}\n")
 
 
 def test_overloaded_config_exits_2(tmp_path, capsys):
@@ -112,10 +141,13 @@ def test_missing_config_file_exits_1(capsys):
     assert code == 1
 
 
-def test_unknown_preset_exits_1(capsys):
-    code, _, err = run(["ic-region", "--preset", "bogus"], capsys)
-    assert code == 1
-    assert "preset" in err
+def test_unknown_preset_exits_1(tmp_path, capsys):
+    for name in ("bogus", ""):
+        for command in (["ic-region"], ["curve", "--out", str(tmp_path / "c.csv")]):
+            code, out, err = run(command + ["--preset", name], capsys)
+            assert (code, out) == (1, ""), (name, command)
+            assert err == f"error: unknown preset {name!r}; see 'trustqueue preset list'\n"
+    assert not (tmp_path / "c.csv").exists()
 
 
 def test_ic_region_output(capsys):
@@ -187,6 +219,12 @@ def test_four_class_error_rate_defaults_to_one_tenth(capsys):
     assert run(["ic-region", "--preset", "four-class", "--error-rate", "0.2"], capsys)[1] != default
 
 
+def test_ic_region_prints_an_empty_region(capsys):
+    code, out, _ = run(["ic-region", "--preset", "four-class", "--error-rate", "0.3"], capsys)
+    assert code == 0
+    assert out.splitlines()[0] == "incentive compatible region: empty"
+
+
 def test_ic_region_rejects_blind_policy(capsys):
     with pytest.raises(SystemExit):
         main(["ic-region", "--preset", "three-class", "--policy", "fcfs"])
@@ -215,6 +253,38 @@ def test_sweep_curve_plot_roundtrip(tmp_path, capsys):
     code, out, _ = run(["plot", "--csv", str(curve_csv), "--out", str(svg2)], capsys)
     assert code == 0
     assert "polyline" in svg2.read_text()
+
+
+@pytest.mark.parametrize("command, rows", [(["curve"], 3), (["sweep", "--b-step", "0.05"], 3 * 21)],
+                         ids=["curve", "sweep"])
+def test_sweep_and_curve_read_a_config_or_any_preset(command, rows, tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(THREE_CLASS))
+    written = {}
+    for name, source in (("config", ["--config", str(path)]),
+                         ("three-class", ["--preset", "three-class"]),
+                         ("two-class-rare", ["--preset", "two-class-rare"])):
+        out_csv = tmp_path / f"{name}.csv"
+        code, out, _ = run([*command, *source, "--x-step", "0.1", "--x-max", "0.2",
+                            "--out", str(out_csv)], capsys)
+        assert code == 0 and out.startswith(f"wrote {rows} rows to "), name
+        written[name] = out_csv.read_bytes()
+    # the config file holds the three-class preset
+    assert written["config"] == written["three-class"] != written["two-class-rare"]
+
+
+def test_size_probs_config_curve_matches_the_four_class_preset(tmp_path, capsys):
+    # a curve spans its own error rates, so a file's error_rate leaves it unchanged
+    family = {"lambda": 0.8, "sizes": [0.4, 0.8, 1.6, 3.2], "size_probs": [0.5, 0.25, 0.125, 0.125]}
+    written = []
+    for source in ({}, family, {**family, "error_rate": 0.3}):
+        path, out_csv = tmp_path / "c.json", tmp_path / f"curve{len(written)}.csv"
+        path.write_text(json.dumps(source))
+        args = ["--config", str(path)] if source else ["--preset", "four-class"]
+        code, _, _ = run(["curve", *args, "--x-step", "0.05", "--out", str(out_csv)], capsys)
+        assert code == 0
+        written.append(out_csv.read_bytes())
+    assert written[0] == written[1] == written[2]
 
 
 def test_plot_empty_region_sweep(tmp_path, capsys):
@@ -389,3 +459,31 @@ def test_subcommand_help_lists_exactly_the_options_it_reads(command, capsys):
     assert exc.value.code == 0
     listed = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", capsys.readouterr().out))
     assert listed == OPTIONS[command] | {"--help"}
+
+
+def _stderr_writers(source):
+    """Names of the functions other than main whose code reads sys.stderr."""
+    return sorted({fn.name for fn in ast.walk(ast.parse(source))
+                   if isinstance(fn, ast.FunctionDef) and fn.name != "main"
+                   for node in ast.walk(fn)
+                   if isinstance(node, ast.Attribute) and node.attr == "stderr"
+                   and isinstance(node.value, ast.Name) and node.value.id == "sys"})
+
+
+def test_only_main_writes_to_stderr():
+    # main prints every failure as one "error:" line; the check sees a planted writer
+    planted = "def main():\n    print(file=sys.stderr)\ndef cmd():\n    sys.stderr.write('x')\n"
+    assert _stderr_writers(planted) == ["cmd"]
+    assert _stderr_writers(Path(cli.__file__).read_text()) == []
+
+
+def test_readme_command_line_examples_parse():
+    text = README.read_text()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+                if line.strip()]
+    assert len(commands) == 8
+    for argv in commands:
+        assert argv[0] == "trustqueue"
+        args = build_parser().parse_args(argv[1:])
+        assert args.fn.__name__ == "cmd_" + argv[1].replace("-", "_")
