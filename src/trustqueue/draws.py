@@ -58,15 +58,15 @@ def lookup(table, u: np.ndarray, out: np.ndarray, bucket: np.ndarray,
     """out = cdf.searchsorted(u, side="right") for u in [0, 1), bit for bit.
 
     bucket (intp), value (float) and hit (bool) are scratch buffers of u's
-    length.  Indices are in range, so np.take runs in "clip" mode, which
-    writes straight into its output.
+    length.  Indices are in range, so take runs in "clip" mode, which writes
+    straight into its output; every pass is an ndarray method or a ufunc.
     """
     cdf, start, passes = table
     np.multiply(u, BUCKETS, out=value)
     np.copyto(bucket, value, casting="unsafe")     # truncation is floor: u >= 0
-    np.take(start, bucket, out=out, mode="clip")
+    start.take(bucket, out=out, mode="clip")
     for _ in range(passes):
-        np.take(cdf, out, out=value, mode="clip")
+        cdf.take(out, out=value, mode="clip")
         out += np.greater_equal(u, value, out=hit)
     return out
 
@@ -82,13 +82,13 @@ def draw_jobs(rng, n: int, lam: float, b: float, probe_p: float, table,
     """
     rng.standard_exponential(out=a)
     a *= 1.0 / lam
-    np.cumsum(a, out=a)
+    a.cumsum(out=a)
     rng.random(out=u)
     lookup(table, u, cell, path, value, hit)
     rng.random(out=u)
     np.less(u, b, out=coin)
     rng.random(out=u)
-    probes = np.flatnonzero(np.less(u, probe_p, out=hit))
+    probes = np.less(u, probe_p, out=hit).nonzero()[0]
     declared = cell[probes]
     declared -= declared % n
     declared += rng.integers(0, n, len(u))[probes]

@@ -252,6 +252,11 @@ def load_config(path) -> SystemConfig:
         if not _numbers(value, _DEPTH[key]):
             raise ConfigError(f"config file value {key!r} must be {_SHAPES[_DEPTH[key]]}, "
                               f"got {json.dumps(value)}")
+        try:
+            np.asarray(value, dtype=float)
+        except OverflowError:
+            raise ConfigError(f"config file value {key!r} holds an integer too large "
+                              "for a float") from None
     try:
         lam = float(raw["lambda"])
         grid = SizeGrid(raw["sizes"])

@@ -8,21 +8,25 @@ and the work at ranks < w brought by later arrivals before J completes.
 The second and the completion time take one scan per rank level ell:
 with C the cumulative work at ranks <= ell, the running maximum of
 a_{k+1} - C[k] gives level ell's Lindley backlog at each arrival and level
-ell + 1's first-passage curve, which one binary search per job reads.  The
-result equals the discrete-event simulation on the same draws job by job,
-up to rounding (tests/event_sim.py keeps that event loop as the reference).
+ell + 1's first-passage curve, which one binary search per job reads.
+np.fmax.accumulate takes that maximum: no NaN arises, so it gives
+np.maximum's bits, faster.  The result equals the discrete-event
+simulation on the same draws job by job, up to rounding (tests/event_sim.py
+keeps that event loop as the reference).
 
 Each job's row of ranks.rank_path_table, the table soap's closed forms
 read too, gives its work at ranks <= w and final rank w; draws picks the
 row from the job's random draws.
 
 ``workers`` threads map over the replication seeds.  Numpy drops the GIL
-only inside each pass, so two threads run at most about 1.4x as fast as
-one at 20k jobs a replication, 1.6x at 200k (README.md).  A thread runs
-its replications in one set of job-length buffers, so they fault in few
-fresh pages.  A replication draws from its own seeded generator and
-returns one row of bin totals; the rows come back in seed order, so the
-result does not depend on the workers.
+only inside each pass, so every pass is an ndarray method or a ufunc,
+called without numpy's Python wrappers, and two threads still run at most
+about 1.4x as fast as one at 20k jobs a replication, 1.6x at 200k
+(README.md).  A thread runs its replications in one set of job-length
+buffers, so they fault in few fresh pages.  A replication draws from its
+own seeded generator and returns one row of bin totals; the rows come back
+in seed order, so the result does not depend on the workers, and one
+vectorised pass turns them into every estimate.
 
 Sparse probe jobs declare a uniformly random class, estimating the
 deviation response times E[U_ik] without materially perturbing the
@@ -36,16 +40,12 @@ import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .draws import cell_table, draw_jobs, mix64
 from .model import PolicySpec, SystemConfig
 from .ranks import rank_path_table
-
-# indices here are always in range; np.take's default mode would copy ``out``
-_take = partial(np.take, mode="clip")
 
 
 def _integer(name: str, value) -> int:
@@ -130,36 +130,38 @@ def _run_replication(config: SystemConfig, policy: PolicySpec, sim: SimConfig, s
     rng = np.random.default_rng(mix64(seed))
     probes, declared = draw_jobs(rng, n, config.lam, policy.b, sim.probe_probability, table,
                                  a, cell, path, coin, u, s, mask)
-    final = _take(final, path, out=ws["final"])
+    final = final.take(path, out=ws["final"], mode="clip")
 
     # Level ell: C = cumsum of the work at ranks <= ell, R = running max of
     # E = (a_0, a_1 - C[0], ..., a_{N-1} - C[N-2], inf).  Arrival k finds
     # the <= ell backlog R[k] - E[k].  A job J of final rank w > 1 completes
     # at the first m with R_{w-1}[m + 1] >= a_J + work - C_{w-1}[J].
+    # take's "clip" mode writes straight into out; the indices are in range.
     c, r, x, rx = ws["c0"], ws["r0"], ws["c1"], ws["r1"]
     for ell in range(1, final.max() + 1):
         c, r, x, rx = x, rx, c, r               # x, rx: level ell - 1's C and R
-        jobs = np.flatnonzero(np.equal(final, ell, out=mask))
+        jobs = np.equal(final, ell, out=mask).nonzero()[0]
         work, e, g = s[:len(jobs)], t[:len(jobs)], u[:len(jobs)]
-        _take(xle[ell], path, out=c)
-        _take(c, jobs, out=work)    # all of a job's work is at ranks <= its final rank
-        np.cumsum(c, out=c)
+        xle[ell].take(path, out=c, mode="clip")
+        c.take(jobs, out=work, mode="clip")     # all of a job's work is at ranks <= its final rank
+        c.cumsum(out=c)
         r[0], r[N] = a[0], np.inf
         np.subtract(a[1:], c[:-1], out=r[1:N])
-        _take(r, jobs, out=e)
-        np.maximum.accumulate(r, out=r)
-        _take(r, jobs, out=g)
+        r.take(jobs, out=e, mode="clip")
+        np.fmax.accumulate(r, out=r)
+        r.take(jobs, out=g, mode="clip")
         g -= e
         work += g
         if ell > 1:
-            _take(a, jobs, out=e)
+            a.take(jobs, out=e, mode="clip")
             e += work
-            _take(x, jobs, out=g)
+            x.take(jobs, out=g, mode="clip")
             e -= g
-            last = np.searchsorted(rx[1:], e)
+            # e is nondecreasing; windowed, merging and galloping searches ran no faster
+            last = rx[1:].searchsorted(e)
             # a guard: the backlog keeps the search from landing before the job
             np.maximum(last, jobs, out=last)
-            _take(x, last, out=e)
+            x.take(last, out=e, mode="clip")
             e -= g
             work += e
         resp[jobs] = work
@@ -172,7 +174,7 @@ def _run_replication(config: SystemConfig, policy: PolicySpec, sim: SimConfig, s
     np.subtract(completion, s, out=s)
     area = float(np.maximum(s, 0.0, out=s).sum())
     # honest jobs count in bin j, probe jobs in bin n + i * n + k
-    bins = _take(np.tile(np.arange(n), n), cell, out=path)
+    bins = np.tile(np.arange(n), n).take(cell, out=path, mode="clip")
     bins[probes] = n + declared
     cnt = np.bincount(bins[warm_n:], minlength=n + n * n)
     tot = np.bincount(bins[warm_n:], weights=resp[warm_n:], minlength=n + n * n)
@@ -185,14 +187,6 @@ def _run_replication(config: SystemConfig, policy: PolicySpec, sim: SimConfig, s
         k[probes], probe[probes] = declared % n, True
         trace = list(zip(*(v[order].tolist() for v in (a, i, j, k, coin, probe, resp))))
     return tot, cnt, area, float(completion.max()) - float(t_start), trace
-
-
-def _combine(values: np.ndarray, t975, count) -> SimEstimate:
-    """Mean of one value per replication, its 95% CI half-width (t975 is the
-    t quantile for that many replications) and count."""
-    r = len(values)
-    half = float(t975 * values.std(ddof=1) / np.sqrt(r)) if r > 1 else float("inf")
-    return SimEstimate(float(values.mean()), half, int(count))
 
 
 def simulate(config: SystemConfig, policy: PolicySpec, sim: SimConfig,
@@ -223,15 +217,25 @@ def simulate(config: SystemConfig, policy: PolicySpec, sim: SimConfig,
     if not honest.all():
         raise ValueError("a replication recorded no honest job after warm-up; "
                          "use more jobs or a lower probe probability")
-    from scipy import stats         # imported here: no other module needs scipy
+    from scipy import special       # imported here: no other module needs scipy
 
-    t975 = stats.t.ppf(0.975, reps - 1)
-    # classes j, then cells (i, k): estimated if all replications see one, dropped if some do
+    # a row per estimate: classes j, then cells (i, k), each estimated if all
+    # replications see it (dropped if some do), then overall and in system
     keys = [*range(n), *((i, k) for i in range(n) for k in range(n))]
-    found, dropped = ({}, {}), ([], [])
+    seen = cnt.all(axis=0)
+    cols = seen.nonzero()[0]
+    values = np.vstack([(tot[:, cols] / cnt[:, cols]).T, tot[:, :n].sum(axis=1) / honest,
+                        np.array(area) / window])
+    # stdtrit is the t quantile that scipy.stats.t.ppf evaluates
+    half = (special.stdtrit(reps - 1, 0.975) * values.std(axis=1, ddof=1) / np.sqrt(reps)
+            if reps > 1 else np.full(len(values), np.inf))
+    counts = [*cnt[:, cols].sum(axis=0).tolist(), int(honest.sum()), reps]
+    *estimates, overall, in_system = map(SimEstimate, values.mean(axis=1).tolist(),
+                                         half.tolist(), counts)
+    found, dropped, estimates = ({}, {}), ([], []), iter(estimates)
     for e, key in enumerate(keys):
-        if cnt[:, e].all():
-            found[e >= n][key] = _combine(tot[:, e] / cnt[:, e], t975, cnt[:, e].sum())
+        if seen[e]:
+            found[e >= n][key] = next(estimates)
         elif cnt[:, e].any():
             dropped[e >= n].append(key)
 
@@ -244,8 +248,7 @@ def simulate(config: SystemConfig, policy: PolicySpec, sim: SimConfig,
                 w.writerow([f"{row[0]:.9g}", row[1], row[2], row[3],
                             int(row[4]), int(row[5]), f"{row[6]:.9g}"])
     # each job arriving in the window is recorded in one bin: cnt's row sums count them
-    return SimResult(overall=_combine(tot[:, :n].sum(axis=1) / honest, t975, honest.sum()),
-                     per_cell=found[1], per_class=found[0],
-                     time_avg_in_system=_combine(np.array(area) / window, t975, reps),
+    return SimResult(overall=overall, per_cell=found[1], per_class=found[0],
+                     time_avg_in_system=in_system,
                      arrival_rate_measured=float(np.mean(cnt.sum(axis=1) / window)),
                      dropped_classes=tuple(dropped[0]), dropped_cells=tuple(dropped[1]))

@@ -115,6 +115,18 @@ def test_malformed_config_exits_1(tmp_path, capsys):
         assert err.count("\n") == 1, text
 
 
+@pytest.mark.parametrize("key, text", [
+    ("error_rate", '{"lambda": 0.1, "sizes": [1, 2], "size_probs": [0.5, 0.5], "error_rate": 1%s}'),
+    ("sizes", '{"lambda": 0.1, "sizes": [1, 1%s], "size_probs": [0.5, 0.5]}'),
+], ids=["error-rate", "sizes"])
+def test_config_integer_too_large_for_a_float_exits_1(key, text, tmp_path, capsys):
+    # json reads 1 followed by 400 zeros as an int, which float() cannot convert
+    path = tmp_path / "c.json"
+    path.write_text(text % ("0" * 400))
+    assert run(["analyze", "--config", str(path)], capsys) == (
+        1, "", f"error: config file value {key!r} holds an integer too large for a float\n")
+
+
 @pytest.mark.parametrize("text, message", [
     ('{"sizes": [1, 2], "size_probs": [0.5, 0.5]}', "config file missing required key 'lambda'"),
     ('{"lambda": 0.1, "sizes": [1, 2, 3], "matrix": [[0.5, 0], [0, 0.5]]}',

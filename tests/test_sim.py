@@ -1,6 +1,9 @@
 import ast
 import csv
 import hashlib
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -374,6 +377,56 @@ def test_simulate_output_digest(tmp_path):
     digest.update(path.read_bytes())
     assert digest.hexdigest() == SIM_SHA256
 
+
+
+def _scalar_estimate(values, count):
+    """One column's estimate, computed alone: its own 1-d mean and standard
+    deviation and scipy.stats' t quantile, independent of simulate's pass."""
+    from scipy import stats
+
+    r = len(values)
+    if r == 1:
+        return sim.SimEstimate(float(values.mean()), float("inf"), int(count))
+    half = stats.t.ppf(0.975, r - 1) * values.std(ddof=1) / np.sqrt(r)
+    return sim.SimEstimate(float(values.mean()), float(half), int(count))
+
+
+@pytest.mark.parametrize("reps", [1, 2, 3, 10])
+def test_estimates_equal_the_scalar_per_column_formula(three_class, reps):
+    # about 18 recorded probes a replication: some cells are seen in every
+    # replication and some only in a few, which are dropped
+    config, policy = three_class, PolicySpec(MT, 0.4)
+    sim_cfg = SimConfig(job_count=2_000, seed=70, replications=reps, probe_probability=0.01)
+    res = simulate(config, policy, sim_cfg, workers=2)
+    ws, tables = _workspace(2_000), _tables(config, policy)
+    rows = [_run_replication(config, policy, sim_cfg, seed, ws, tables, False)
+            for seed in range(70, 70 + reps)]
+    tot, cnt, area, window = (np.array(v) for v in list(zip(*rows))[:4])
+    n = config.n
+    keys = [*range(n), *((i, k) for i in range(n) for k in range(n))]
+    want = ({}, {})
+    for e, key in enumerate(keys):
+        if cnt[:, e].all():
+            want[e >= n][key] = _scalar_estimate(tot[:, e] / cnt[:, e], cnt[:, e].sum())
+    honest = cnt[:, :n].sum(axis=1)
+    assert res.overall == _scalar_estimate(tot[:, :n].sum(axis=1) / honest, honest.sum())
+    assert res.time_avg_in_system == _scalar_estimate(area / window, reps)
+    assert (res.per_class, res.per_cell) == want
+    assert res.per_cell and bool(res.dropped_cells) == (reps > 1)
+    assert (res.overall.half_width95 == np.inf) == (reps == 1)
+
+
+def test_simulate_loads_scipy_special_but_not_scipy_stats():
+    # scipy.stats adds about 0.7 s to scipy.special's import, and simulate needs one t quantile
+    code = ("import sys\n"
+            "from trustqueue.model import Policy, PolicySpec, validate_config\n"
+            "from trustqueue.sim import SimConfig, simulate\n"
+            f"config = validate_config(0.5, [1, 2, 3], {THREE_CLASS_MATRIX})\n"
+            "simulate(config, PolicySpec(Policy.MEASURED_TRUST, 0.43),\n"
+            "         SimConfig(job_count=2_000, replications=4))\n"
+            "sys.exit(('scipy.stats' in sys.modules) + 2 * ('scipy.special' not in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 # the code the simulator cross-checks, which it must therefore never read
 CHECKED = {"soap", "incentives", "numerators", "experiments"}
