@@ -1,7 +1,7 @@
 """Command-line surface: analysis, region finding, sweeps, simulation, charts.
 
-Exit codes: 0 on success, 1 on validation or I/O problems, 2 when the
-offered load makes the queue unstable.
+Exit codes: 0 on success, 1 on validation or I/O problems, 3 when the
+offered load makes the queue unstable (argparse's usage errors exit 2).
 """
 
 from __future__ import annotations
@@ -261,7 +261,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (OSError, ValueError) as exc:    # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, OverloadedError) else 1
+        return 3 if isinstance(exc, OverloadedError) else 1
 
 
 if __name__ == "__main__":

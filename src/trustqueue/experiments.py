@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .incentives import DEFAULT_TOL, _check_step, _deltas, _feasible, _ic_regions
+from .incentives import _check_step, _deltas, _feasible, _ic_regions
 from .incentives import ic_region  # noqa: F401  (perfbench's tracer rebinds experiments.ic_region)
 from .model import (Policy, SizeGrid, SizeEstimateMatrix, SystemConfig,
                     diagonal_matrix, uniform_error_entries, uniform_error_matrix)
@@ -136,7 +136,7 @@ def sweep_region(size_probs, grid: SizeGrid, lam: float,
         for start in range(0, len(xs), CHUNK):
             rows = np.arange(start, min(start + CHUNK, len(xs)))
             U = family.cube(rows, np.broadcast_to(bs, (len(rows), len(bs))))
-            ok[p, rows] = _feasible(_deltas(entries[rows], U), DEFAULT_TOL)
+            ok[p, rows] = _feasible(*_deltas(entries[rows], U))
             et[p, rows] = np.einsum("rij,rijb->rb", entries[rows], U)
     return Sweep(xs, bs, ok[0], ok[1], et[0], et[1])
 

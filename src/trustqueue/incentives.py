@@ -2,7 +2,10 @@
 
 A policy is incentive compatible at b when no internal-estimate class j
 gains by declaring some other class k: delta[j][k] = E[T_jk] - E[T_jj] >= 0
-for every pair (weakly, with a small tolerance).
+for every pair.  The one margin absorbs rounding: a delta is a violation
+only below -_KAPPA (E[T_jk] + E[T_jj]), the margin of numerators' certain
+signs.  So endpoints are delta's own float roots, and no verdict depends
+on the unit of time.
 
 Regions are exact.  The real roots of polynomial numerators
 (numerators.roots), each pair's for IC regions and (target - E[T]) times
@@ -23,10 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Policy, SystemConfig
-from .numerators import Numerators, benefit, certified_empty, roots, sign
+from .numerators import _KAPPA, Numerators, benefit, certified_empty, roots, sign
 from .soap import CubeFamily, estimate_means, overall_curve, response_cube
 
-DEFAULT_TOL = 1e-9      # slack on delta >= 0, in time units
 DEFAULT_GRID = 1e-3     # b step ic_region accepts; validated, changes no result
 DEFAULT_TOL_B = 1e-6    # b tolerance ic_region accepts; validated, changes no result
 
@@ -39,7 +41,6 @@ class UndefinedColumnError(ValueError):
 class ICReport:
     kind: Policy
     b: float
-    tol: float
     deltas: np.ndarray                    # deltas[j, k] = E[T_jk] - E[T_jj]; NaN when undefined
     violations: tuple[tuple[int, int, float], ...]
 
@@ -83,52 +84,47 @@ class BIntervalSet:
         return BInterval(self.intervals[0].lo, self.intervals[-1].hi)
 
 
-def _deltas(M: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """deltas[..., j, k, t] from joint matrices M (..., n, n) and U planes (..., n, n, B).
+def _deltas(M: np.ndarray, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """deltas[..., j, k, t] and their margins, from M (..., n, n) and U planes (..., n, n, B).
 
-    Rows with zero estimate marginal are NaN.
+    A margin is _KAPPA (T_jk + T_jj).  Rows with zero estimate marginal are NaN.
     """
     T = estimate_means(M, U)
     honest = np.arange(M.shape[-1])
-    return T - T[..., honest, honest, :][..., None, :]
+    Tj = T[..., honest, honest, :][..., None, :]
+    return T - Tj, _KAPPA * (T + Tj)
+
+
+def _grid_deltas(config: SystemConfig, kind: Policy, bs) -> tuple[np.ndarray, np.ndarray]:
+    """_deltas of config over a b-grid: (deltas, margins)[j, k, t]."""
+    U, _, _ = response_cube(config, kind, np.atleast_1d(np.asarray(bs, dtype=float)))
+    return _deltas(config.matrix.entries, U)
 
 
 def delta_grid(config: SystemConfig, kind: Policy, bs) -> np.ndarray:
     """deltas[j, k, t] over a b-grid; rows with zero estimate marginal are NaN."""
-    bs = np.atleast_1d(np.asarray(bs, dtype=float))
-    U, _, _ = response_cube(config, kind, bs)
-    return _deltas(config.matrix.entries, U)
+    return _grid_deltas(config, kind, bs)[0]
 
 
-def _feasible(d: np.ndarray, tol: float) -> np.ndarray:
-    """d's shape without its (j, k) axes: True where every defined delta d[..., j, k, t] >= -tol."""
-    return ~(d < -tol).any(axis=(-3, -2))       # NaN (undefined) compares False
+def _feasible(d: np.ndarray, margin: np.ndarray) -> np.ndarray:
+    """d's shape without its (j, k) axes: True where no defined delta lies below -margin."""
+    return ~(d < -margin).any(axis=(-3, -2))       # NaN (undefined) compares False
 
 
-def _check_tol(tol: float) -> None:
-    """Raise ValueError unless the slack tol is finite and >= 0 (NaN is not)."""
-    if not (np.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tolerance must be finite and non-negative, got {tol:g}")
+def ic_indicator(config: SystemConfig, kind: Policy, bs) -> np.ndarray:
+    """Boolean array over bs: True where ic_check's verdict is."""
+    return _feasible(*_grid_deltas(config, kind, bs))
 
 
-def ic_indicator(config: SystemConfig, kind: Policy, bs, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Boolean array over bs: True where every defined delta >= -tol."""
-    _check_tol(tol)
-    return _feasible(delta_grid(config, kind, bs), tol)
+def ic_check(config: SystemConfig, kind: Policy, b: float) -> ICReport:
+    """Exact incentive check at one punishment probability, up to rounding's margin."""
+    d, margin = (a[:, :, 0] for a in _grid_deltas(config, kind, b))
+    return ICReport(kind=kind, b=float(b), deltas=d, violations=_violations(d, margin))
 
 
-def ic_check(config: SystemConfig, kind: Policy, b: float, tol: float = DEFAULT_TOL) -> ICReport:
-    """Exact incentive check at one punishment probability."""
-    _check_tol(tol)
-    d = delta_grid(config, kind, np.array([b]))[:, :, 0]
-    return ICReport(kind=kind, b=float(b), tol=tol, deltas=d, violations=_violations(d, tol))
-
-
-def _violations(d: np.ndarray, tol: float) -> tuple[tuple[int, int, float], ...]:
-    """(j, k, delta) of every defined off-diagonal delta below -tol, most negative first."""
-    n = len(d)
-    found = [(j, k, float(d[j, k])) for j in range(n) for k in range(n)
-             if j != k and d[j, k] < -tol]      # NaN (undefined) compares False
+def _violations(d: np.ndarray, margin: np.ndarray) -> tuple[tuple[int, int, float], ...]:
+    """(j, k, delta) of every defined delta below -margin, most negative first."""
+    found = [(j, k, float(d[j, k])) for j, k in np.argwhere(d < -margin).tolist()]
     return tuple(sorted(found, key=lambda v: v[2]))
 
 
@@ -146,7 +142,7 @@ def pair_threshold(config: SystemConfig, kind: Policy, j: int, k: int) -> list[f
         raise UndefinedColumnError(f"estimate class {j} has zero probability")
     if j == k:
         raise ValueError("honest declaration has no threshold")
-    num = Numerators(CubeFamily([config], kind), tol=0.0)
+    num = Numerators(CubeFamily([config], kind))
     coef = num.coef[(num.js == j) & (num.ks == k)]
     ends = [end for end, d in zip((0.0, 1.0), delta_grid(config, kind, [0.0, 1.0])[j, k])
             if d == 0.0]
@@ -160,12 +156,12 @@ def _check_step(grid_step: float) -> None:
         raise ValueError(f"b step must be in (0, 1], got {grid_step:g}")
 
 
-def _ic_regions(family: CubeFamily, tol: float = DEFAULT_TOL) -> list[BIntervalSet]:
+def _ic_regions(family: CubeFamily) -> list[BIntervalSet]:
     """ic_region of every config of the family."""
-    num = Numerators(family, tol)
+    num = Numerators(family)
 
     def passes(rows, bs):       # ic_check's rule, from one cube
-        return _feasible(_deltas(family.entries[rows], family.cube(rows, bs[:, None])), tol)[:, 0]
+        return _feasible(*_deltas(family.entries[rows], family.cube(rows, bs[:, None])))[:, 0]
 
     return [BIntervalSet(ivs) for ivs in _regions(num.coef, num.owner, len(family), passes)]
 
@@ -227,8 +223,7 @@ def _snap(passes, rows: np.ndarray, ends: np.ndarray, toward: np.ndarray) -> np.
 
 
 def ic_region(config: SystemConfig, kind: Policy,
-              grid_step: float = DEFAULT_GRID, tol_b: float = DEFAULT_TOL_B,
-              tol: float = DEFAULT_TOL) -> BIntervalSet:
+              grid_step: float = DEFAULT_GRID, tol_b: float = DEFAULT_TOL_B) -> BIntervalSet:
     """All punishment probabilities where the policy is incentive compatible.
 
     grid_step and tol_b are validated and recorded in the result; they shape no interval.
@@ -236,8 +231,7 @@ def ic_region(config: SystemConfig, kind: Policy,
     _check_step(grid_step)      # perfbench/workloads.py passes grid_step=
     if not (np.isfinite(tol_b) and tol_b > 0.0):
         raise ValueError(f"b tolerance must be finite and positive, got {tol_b:g}")
-    _check_tol(tol)
-    (region,) = _ic_regions(CubeFamily([config], kind), tol)
+    (region,) = _ic_regions(CubeFamily([config], kind))
     return BIntervalSet(region.intervals, grid_step, tol_b)
 
 

@@ -1,7 +1,7 @@
 """Real roots of the polynomial numerators of every b-search.
 
 m1 and m2 are linear in b, so with the positive product prod_{ell=1..n}
-(1 - rho_ell(b)), each pair's (delta_jk(b) + tol) * prod and E[T] * prod = P
+(1 - rho_ell(b)), each pair's delta_jk(b) * prod and E[T] * prod = P
 are polynomials of degree n + 1.  Their real roots are the IC regions' and
 the pair thresholds' endpoints; (target - E[T]) * prod, whose roots end the
 social-benefit regions, is one too; and E[T] = P / Q is stationary only at
@@ -42,12 +42,13 @@ class Numerators:
     """Chebyshev interpolants of every pair's numerator, for every config of a family.
 
     Each interpolant is stored divided by its threshold: _KAPPA times the
-    largest value, on the nodes, of (T_jk + T_jj + tol) times the product.
+    largest value, on the nodes, of (T_jk + T_jj) times the product.
     A sign counts where that quotient lies outside [-1, 1]: the margin scales
-    with the times, as delta's rounding does.  Pairs are ordered by config.
+    with the times, as delta's rounding and ic_check's margin do, so no sign
+    depends on the unit of time.  Pairs are ordered by config.
     """
 
-    def __init__(self, family: CubeFamily, tol: float):
+    def __init__(self, family: CubeFamily):
         n = family.sizes.shape[1]
         defined = family.entries.sum(axis=1) > 0      # estimate classes with probability
         self.owner, self.js, self.ks = np.nonzero(defined[:, :, None] & ~np.eye(n, dtype=bool))
@@ -56,9 +57,9 @@ class Numerators:
         T = estimate_means(family.entries, family.cube(rows, nodes))
         Tk, Tj = T[self.owner, self.js, self.ks], T[self.owner, self.js, self.js]
         product = _denominator(family, rows, nodes)[self.owner]
-        threshold = _KAPPA * np.max((Tk + Tj + tol) * product, axis=1)
-        # delta + tol as ic_check's rule computes it, at each node
-        self.coef = _interpolate((Tk - Tj + tol) * product) / threshold[:, None]
+        threshold = _KAPPA * np.max((Tk + Tj) * product, axis=1)
+        # delta as ic_check computes it, at each node: the roots are delta's own
+        self.coef = _interpolate((Tk - Tj) * product) / threshold[:, None]
 
 
 def sign(coef: np.ndarray, bs: np.ndarray) -> np.ndarray:

@@ -138,13 +138,13 @@ def test_incomplete_config_exits_1(text, message, tmp_path, capsys):
     assert run(["ic-region", "--config", str(path)], capsys) == (1, "", f"error: {message}\n")
 
 
-def test_overloaded_config_exits_2(tmp_path, capsys):
+def test_overloaded_config_exits_3(tmp_path, capsys):
     bad = dict(THREE_CLASS)
     bad["lambda"] = 0.9
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(bad))
     code, _, err = run(["analyze", "--config", str(path)], capsys)
-    assert code == 2
+    assert code == 3
     assert "unstable" in err
 
 
