@@ -10,11 +10,10 @@ on the unit of time.
 Regions are exact.  The real roots of polynomial numerators
 (numerators.roots), each pair's for IC regions and (target - E[T]) times
 a positive product for social benefit, cut [0, 1] with b = 0 and b = 1
-into cells where none changes sign.  Each cell is decided at its midpoint,
-by the numerators' signs where they are certain and by the exact rule
-elsewhere (ic_check's, or E[T] <= target); passing neighbours merge, and
-each endpoint is snapped inward to the nearest b where the exact rule
-passes.  A pair threshold is its numerator's sign changes.  MeasuredTrust
+into cells where none changes sign.  Each cell is decided at its midpoint
+by the one exact rule (ic_check's, or E[T] <= target); passing neighbours
+merge, and each endpoint is snapped inward to the nearest b where that
+rule passes.  A pair threshold is its numerator's sign changes.  MeasuredTrust
 and BlindTrust are alike, and a whole CubeFamily is solved at once, each
 config as alone.
 """
@@ -173,11 +172,11 @@ def _regions(coef: np.ndarray, owner: np.ndarray, count: int,
     Series coef[r], scaled as numerators scales it, belongs to config owner[r].
     passes(rows, bs) is the exact verdict for config rows[r] at bs[r]; up to
     rounding, it holds where every series of the config is >= 0.  The roots,
-    with b = 0 and b = 1, cut [0, 1] into cells, each decided at its midpoint
-    by the certain signs or else by passes; runs of passing cells merge, and
-    each end is snapped inward until passes holds there.  A config that
-    numerators.certified_empty marks would fail on its signs in every cell:
-    its series are dropped before roots and it gets no cell.
+    with b = 0 and b = 1, cut [0, 1] into cells, each decided by passes at
+    its midpoint; runs of passing cells merge, and each end is snapped inward
+    until passes holds there.  A config that numerators.certified_empty marks
+    has a certainly negative series in every cell: its series are dropped
+    before roots and it gets no cell.
     """
     gone = certified_empty(coef, owner, count)
     live = ~gone[owner]
@@ -186,11 +185,7 @@ def _regions(coef: np.ndarray, owner: np.ndarray, count: int,
     cuts = np.sort(np.column_stack((np.zeros(count), cuts, np.ones(count))), axis=1)
     mids = 0.5 * (cuts[:, :-1] + cuts[:, 1:])
     rows, cell = np.nonzero(~np.isnan(mids) & ~gone[:, None])
-    b = mids[rows, cell]
-    worst = np.ones(mids.shape)      # each cell's worst certain sign over its config's series
-    np.minimum.at(worst, owner, sign(coef, mids[owner]))
-    ok, unsure = worst[rows, cell] > 0, worst[rows, cell] == 0
-    ok[unsure] = passes(rows[unsure], b[unsure])
+    ok = passes(rows, mids[rows, cell])
     # runs of passing cells: [cuts[first], cuts[last + 1]], snapped toward mids[first], mids[last]
     feasible = np.zeros((count, mids.shape[1] + 2), dtype=bool)
     feasible[rows, cell + 1] = ok

@@ -15,15 +15,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import Policy, PolicySpec
+from .model import Policy
 
 
-def initial_rank(policy: PolicySpec, k: int) -> int:
+def initial_rank(kind: Policy, k: int) -> int:
     """Rank at age zero: the declared class for trust policies, else 1."""
-    return k + 1 if policy.kind.uses_estimates else 1
+    return k + 1 if kind.uses_estimates else 1
 
 
-def rank_boundaries(policy: PolicySpec, sizes, k: int, punished: bool) -> list[tuple[float, int]]:
+def rank_boundaries(kind: Policy, sizes, k: int, punished: bool) -> list[tuple[float, int]]:
     """Ages at which a job's rank changes, with the rank after each crossing.
 
     Crossings at ages >= z_n can only fire for the punishment jump of a
@@ -32,7 +32,6 @@ def rank_boundaries(policy: PolicySpec, sizes, k: int, punished: bool) -> list[t
     """
     z = np.asarray(sizes, dtype=float)
     n = len(z)
-    kind = policy.kind
     if kind == Policy.FCFS:
         return []
     if kind == Policy.SCF:
@@ -44,7 +43,7 @@ def rank_boundaries(policy: PolicySpec, sizes, k: int, punished: bool) -> list[t
     return [(float(z[m]), m + 2) for m in range(k, n - 1)]
 
 
-def rank_path_table(policy: PolicySpec, sizes) -> tuple[np.ndarray, np.ndarray]:
+def rank_path_table(kind: Policy, sizes) -> tuple[np.ndarray, np.ndarray]:
     """Service at ranks <= ell and final rank of every (true size, declared, coin).
 
     Returns (xle, final): xle[i, k, coin, ell] is the service a size-z_i
@@ -55,22 +54,21 @@ def rank_path_table(policy: PolicySpec, sizes) -> tuple[np.ndarray, np.ndarray]:
     the tie.  The table depends only on the policy kind and the sizes; it
     is built once for each and shared, so both arrays are read-only.
     """
-    return _table(policy.kind, tuple(np.asarray(sizes, dtype=float).tolist()))
+    return _table(kind, tuple(np.asarray(sizes, dtype=float).tolist()))
 
 
 @lru_cache(maxsize=256)
 def _table(kind: Policy, sizes: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
-    policy = PolicySpec(kind)
     z = np.array(sizes)
     n = len(z)
     xle = np.zeros((n, n, 2, n + 2))
     final = np.zeros((n, n, 2), dtype=np.intp)
     for k in range(n):
         for coin in (0, 1):
-            bl = rank_boundaries(policy, z, k, bool(coin))
+            bl = rank_boundaries(kind, z, k, bool(coin))
             starts = [0.0] + [age for age, _ in bl]
             ends = starts[1:] + [np.inf]
-            ranks = [initial_rank(policy, k)] + [rank for _, rank in bl]
+            ranks = [initial_rank(kind, k)] + [rank for _, rank in bl]
             for i in range(n):
                 # ranks only rise with age, so the segments at ranks <= ell
                 # are a prefix and xle is the end of the last one

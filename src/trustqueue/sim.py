@@ -35,7 +35,6 @@ honest equilibrium.
 
 from __future__ import annotations
 
-import csv
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -114,7 +113,7 @@ def _tables(config: SystemConfig, policy: PolicySpec) -> tuple:
     """A call's seed-free inputs: the cell table, and xle[ell] and the final
     rank of each rank-path table row 2 * (i * n + k) + coin."""
     n = config.n
-    xle, final = rank_path_table(policy, config.sizes)
+    xle, final = rank_path_table(policy.kind, config.sizes)
     return (cell_table(config.matrix.entries),
             np.ascontiguousarray(xle.reshape(n * n * 2, n + 2).T), final.ravel())
 
@@ -240,13 +239,9 @@ def simulate(config: SystemConfig, policy: PolicySpec, sim: SimConfig,
             dropped[e >= n].append(key)
 
     if trace_path is not None:
-        with open(trace_path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["arrival_time", "size_index", "estimate_index", "declared_index",
-                        "punish_coin", "is_probe", "response_time"])
-            for row in trace[0]:
-                w.writerow([f"{row[0]:.9g}", row[1], row[2], row[3],
-                            int(row[4]), int(row[5]), f"{row[6]:.9g}"])
+        np.savetxt(trace_path, trace[0], fmt=["%.9g"] + ["%d"] * 5 + ["%.9g"], delimiter=",",
+                   newline="\r\n", comments="", header="arrival_time,size_index,estimate_index,"
+                   "declared_index,punish_coin,is_probe,response_time")
     # each job arriving in the window is recorded in one bin: cnt's row sums count them
     return SimResult(overall=overall, per_cell=found[1], per_class=found[0],
                      time_avg_in_system=in_system,

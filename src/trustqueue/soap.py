@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Policy, PolicySpec, SystemConfig, check_punishment
+from .model import Policy, SystemConfig, check_punishment
 from .ranks import initial_rank, rank_boundaries, rank_path_table
 
 @dataclass(frozen=True)
@@ -102,8 +102,7 @@ class CubeFamily:
         """sizes holds each config's grid, or one grid that every config shares."""
         self.kind = kind
         self.lam, self.sizes, self.entries = lam, np.broadcast_to(sizes, entries.shape[:2]), entries
-        policy = PolicySpec(kind)
-        tables = [rank_path_table(policy, z) for z in sizes]
+        tables = [rank_path_table(kind, z) for z in sizes]
         self.final = tables[0][1]
         assert all((final == self.final).all() for _, final in tables)
         self.moved = np.nonzero(self.final[:, :, 0] != self.final[:, :, 1])
@@ -232,9 +231,8 @@ def rank_function(grid, kind: Policy, k: int, punished: bool, age: float) -> int
     n = len(grid.sizes)
     if not 0 <= k < n:
         raise ValueError(f"declared index {k} out of range for n={n}")
-    policy = PolicySpec(kind)
-    crossings = rank_boundaries(policy, grid.sizes, k, punished)
-    ranks = [initial_rank(policy, k)] + [rank for _, rank in crossings]
+    crossings = rank_boundaries(kind, grid.sizes, k, punished)
+    ranks = [initial_rank(kind, k)] + [rank for _, rank in crossings]
     return ranks[bisect_right([at for at, _ in crossings], age)]
 
 

@@ -80,7 +80,7 @@ def _document(parts) -> str:
             f'fill="white"/>\n{body}\n</svg>\n')
 
 
-def sweep_chart(rows, title="incentive compatible region") -> str:
+def sweep_chart(rows) -> str:
     """Filled (x, b) regions where each trust policy is incentive compatible.
 
     rows: iterables of (x, b, ic_mt, ic_bt) sorted by (x, b).
@@ -113,7 +113,8 @@ def sweep_chart(rows, title="incentive compatible region") -> str:
                 y0, y1 = yp(b_hi + b_step), yp(b_lo)
                 parts.append(f'<rect x="{x0:.2f}" y="{y0:.2f}" width="{x1-x0:.2f}" '
                              f'height="{y1-y0:.2f}" fill="{color}" fill-opacity="0.55"/>')
-    parts.append(f'<text x="{WIDTH/2}" y="24" font-size="16" text-anchor="middle">{title}</text>')
+    parts.append(f'<text x="{WIDTH/2}" y="24" font-size="16" text-anchor="middle">'
+                 'incentive compatible region</text>')
     lx = WIDTH - RIGHT - 230
     for t, (label, color) in enumerate((("measured trust", MT_COLOR), ("blind trust", BT_COLOR))):
         y = TOP + 16 + 20 * t
@@ -123,7 +124,7 @@ def sweep_chart(rows, title="incentive compatible region") -> str:
     return _document(parts)
 
 
-def curve_chart(rows, title="mean response time at the best incentive compatible b") -> str:
+def curve_chart(rows) -> str:
     """Line chart of mean response against error rate; gaps where infeasible.
 
     rows: dicts with keys x, et_mt, et_bt, et_fcfs, et_scf (None = absent).
@@ -155,7 +156,8 @@ def curve_chart(rows, title="mean response time at the best incentive compatible
             pts = " ".join(f"{px:.2f},{py:.2f}" for px, py in seg)
             parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                          f'stroke-width="2"/>')
-    parts.append(f'<text x="{WIDTH/2}" y="24" font-size="16" text-anchor="middle">{title}</text>')
+    parts.append(f'<text x="{WIDTH/2}" y="24" font-size="16" text-anchor="middle">'
+                 'mean response time at the best incentive compatible b</text>')
     lx = LEFT + 14
     for t, key in enumerate(series_keys):
         y = TOP + 16 + 20 * t

@@ -15,7 +15,7 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from trustqueue.model import Policy, PolicySpec
+from trustqueue.model import Policy
 from trustqueue.ranks import initial_rank, rank_boundaries
 from trustqueue.sim import mix64
 
@@ -25,7 +25,7 @@ def run_replication(args):
     ``trustqueue.sim._run_replication``; tests/test_sim.py reads its result
     dict as that function's bin totals."""
     (z, M, lam, kind_value, b, job_count, warm_frac, probe_p, seed, capture) = args
-    policy = PolicySpec(Policy(kind_value), b)
+    kind = Policy(kind_value)
     n = len(z)
     rng = np.random.default_rng(mix64(seed))
 
@@ -47,10 +47,10 @@ def run_replication(args):
     probe_list = probe_np.tolist()
 
     bounds = {
-        (kk, pun): tuple(zip(*bl)) if (bl := rank_boundaries(policy, z, kk, pun)) else ((), ())
+        (kk, pun): tuple(zip(*bl)) if (bl := rank_boundaries(kind, z, kk, pun)) else ((), ())
         for kk in range(n) for pun in (False, True)
     }
-    init_ranks = [initial_rank(policy, kk) for kk in range(n)]
+    init_ranks = [initial_rank(kind, kk) for kk in range(n)]
 
     warm_n = int(job_count * warm_frac)
     age = [0.0] * job_count     # frozen state while waiting

@@ -291,6 +291,30 @@ def test_perfect_estimates_make_measured_trust_compatible_at_every_b():
         assert ic_region(perfect, MT).intervals == (BInterval(0.0, 1.0),), seed
 
 
+def _neighbour_error_config(n, x):
+    """n geometric sizes in [0.2, 5], p ~ e^-z, load 0.6; with probability x the
+    estimate is a neighbouring class, each neighbour equally likely."""
+    sizes = np.geomspace(0.2, 5.0, n)
+    p = np.exp(-sizes) / np.exp(-sizes).sum()
+    near = np.eye(n, k=1) + np.eye(n, k=-1)
+    matrix = p[:, None] * ((1 - x) * np.eye(n) + x * near / near.sum(axis=1, keepdims=True))
+    return validate_config(0.6 / (p @ sizes), sizes, matrix)
+
+
+@pytest.mark.parametrize("kind", [MT, BT])
+def test_many_class_regions_match_the_ic_check_on_a_dense_grid(kind):
+    # many cells between pairs' roots, each decided by ic_check's rule at its midpoint
+    bs = np.linspace(0.0, 1.0, 2001)
+    for n in (12, 16):
+        for x in (0.001, 0.05):
+            config = _neighbour_error_config(n, x)
+            region = ic_region(config, kind)
+            ends = np.array([b for iv in region.intervals for b in (iv.lo, iv.hi)])
+            away = np.abs(bs[:, None] - ends).min(axis=1, initial=1.0) > 1e-9
+            inside = np.array([region.contains(float(b)) for b in bs[away]])
+            assert np.array_equal(inside, ic_indicator(config, kind, bs[away])), (n, x)
+
+
 def test_social_benefit_three_class(three_class):
     region = social_benefit_region(three_class, MT, Policy.FCFS)
     assert len(region.intervals) == 1
@@ -399,8 +423,9 @@ def _region_families():
 
 @pytest.mark.parametrize("kind", [MT, BT])
 def test_numerator_signs_leave_regions_unchanged(kind):
-    # a cell is decided by the numerators' signs wherever every pair's sign is
-    # certain; there the verdict must be ic_check's, so signs never change a region
+    # certified_empty drops a config, before any root, on certain signs alone;
+    # that is sound only if, wherever every pair's sign is certain, the verdict
+    # the signs give is ic_check's, so the signs never change a region
     decided = 0
     for name, configs, _ in _region_families():
         family = CubeFamily(configs, kind)

@@ -36,15 +36,13 @@ THREE_CLASS_MATRIX = [
 
 def test_rank_boundaries_cases():
     grid = np.array([1.0, 2.0, 3.0])
-    mt = PolicySpec(MT, 0.5)
-    assert rank_boundaries(mt, grid, k=0, punished=False) == [(1.0, 2), (2.0, 3)]
-    assert rank_boundaries(mt, grid, k=0, punished=True) == [(1.0, 4)]
-    assert rank_boundaries(mt, grid, k=2, punished=False) == []
-    bt = PolicySpec(BT, 0.5)
-    assert rank_boundaries(bt, grid, k=1, punished=False) == []
-    assert rank_boundaries(bt, grid, k=1, punished=True) == [(2.0, 4)]
-    assert rank_boundaries(PolicySpec(Policy.FCFS), grid, k=1, punished=True) == []
-    assert rank_boundaries(PolicySpec(Policy.SCF), grid, k=2, punished=False) \
+    assert rank_boundaries(MT, grid, k=0, punished=False) == [(1.0, 2), (2.0, 3)]
+    assert rank_boundaries(MT, grid, k=0, punished=True) == [(1.0, 4)]
+    assert rank_boundaries(MT, grid, k=2, punished=False) == []
+    assert rank_boundaries(BT, grid, k=1, punished=False) == []
+    assert rank_boundaries(BT, grid, k=1, punished=True) == [(2.0, 4)]
+    assert rank_boundaries(Policy.FCFS, grid, k=1, punished=True) == []
+    assert rank_boundaries(Policy.SCF, grid, k=2, punished=False) \
         == [(1.0, 2), (2.0, 3)]
 
 
@@ -294,7 +292,7 @@ def _final_ranks(case, result):
     """Each traced job's final rank, in arrival order."""
     rows = sorted(result[4])
     i, k, coin = (np.array([row[c] for row in rows], dtype=int) for c in (1, 3, 4))
-    _, final = rank_path_table(case[1], case[0].sizes)
+    _, final = rank_path_table(case[1].kind, case[0].sizes)
     return final[i, k, coin]
 
 
@@ -336,7 +334,7 @@ def test_reused_workspace_leaks_nothing(three_class, four_class):
 
 
 def test_rank_path_table_three_class_mt():
-    xle, final = rank_path_table(PolicySpec(MT, 0.5), np.array([1.0, 2.0, 3.0]))
+    xle, final = rank_path_table(MT, np.array([1.0, 2.0, 3.0]))
     # size 3 declaring 0, spared: climbs 1 -> 2 -> 3; punished: 1 -> 4 at age 1
     assert xle[2, 0, 0].tolist() == [0.0, 1.0, 2.0, 3.0, 3.0]
     assert final[2, 0, 0] == 3
@@ -350,8 +348,8 @@ def test_rank_path_table_three_class_mt():
 def test_rank_path_table_is_shared_and_read_only():
     # the table depends only on the policy kind and the sizes, and every caller shares it
     sizes = np.array([1.0, 2.0, 3.0])
-    xle, final = rank_path_table(PolicySpec(MT, 0.5), sizes)
-    again, final_again = rank_path_table(PolicySpec(MT, 0.9), sizes.tolist())
+    xle, final = rank_path_table(MT, sizes)
+    again, final_again = rank_path_table(MT, sizes.tolist())
     assert np.array_equal(xle, again) and np.array_equal(final, final_again)
     with pytest.raises(ValueError):
         xle[2, 0, 0, 1] = 7.0

@@ -8,8 +8,7 @@ from conftest import random_config
 from trustqueue import rank_boundaries
 from trustqueue.experiments import four_class_example, rare_long_job_example, three_class_example
 from trustqueue.incentives import delta_grid, ic_check, ic_indicator, ic_region
-from trustqueue.model import (ConfigError, Policy, PolicySpec, SizeGrid, diagonal_matrix,
-                             validate_config)
+from trustqueue.model import ConfigError, Policy, SizeGrid, diagonal_matrix, validate_config
 from trustqueue.soap import (CubeFamily, estimate_means, fcfs_mean_response, overall_curve,
                              rank_function, relevant_size_moments, response_cube, response_table,
                              scf_mean_response)
@@ -334,7 +333,7 @@ def test_rank_function_follows_rank_boundaries(seed, punished, kind):
     config = random_config(seed)
     rng = np.random.default_rng(seed)
     k = int(rng.integers(0, config.n))
-    crossings = rank_boundaries(PolicySpec(kind), config.sizes, k, punished)
+    crossings = rank_boundaries(kind, config.sizes, k, punished)
     ages = np.concatenate((config.sizes, rng.uniform(0, float(config.sizes[-1]) * 1.2, 25)))
     for age in ages:
         expected = k + 1
